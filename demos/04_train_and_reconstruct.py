@@ -20,7 +20,8 @@ scene = normalize_scene(scene, "bbox")
 config = TrainConfig(layers=2, width_first=12, width_last=4,
                      total_steps=3000, eval_interval=500, batch_size=32,
                      seed=0)
-params, history = train(scene, config)
+result = train(scene, config)
+params, history = result.params, result.history
 
 print()
 print("loss went", round(history.records[0].mean_loss, 4), "->",

@@ -7,7 +7,8 @@ from .sparse import (
 from .geometry import (
     CameraWeak, project, random_camera, random_rotation, normalize_bbox,
     denormalize_bbox, translation_residual, orthonormalize_camera,
-    align_shapes, normalized_3d_error, mutual_coherence, noise_perturb,
+    align_shapes, frame_3d_errors, normalized_3d_error, mutual_coherence,
+    noise_perturb,
 )
 from .model import (
     ModelParams, ForwardOutput, CameraRankError, encode, decode,

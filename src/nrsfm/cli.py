@@ -16,7 +16,7 @@ import numpy as np
 from .data import (PlantedSpec, load_checkpoint, load_scene, make_missing,
                    normalize_scene, save_checkpoint, save_scene,
                    synth_planted)
-from .geometry import mutual_coherence, normalized_3d_error
+from .geometry import frame_3d_errors, mutual_coherence
 from .model import CameraRankError
 from .training import (OptimizerState, TrainConfig, last_dictionary_atoms,
                        reconstruct, train)
@@ -166,12 +166,6 @@ def cmd_reconstruct(args, artifacts):
     return 0
 
 
-def _per_frame_errors(estimates, truths, allow_scale):
-    return np.array([normalized_3d_error(estimates[f:f + 1], truths[f:f + 1],
-                                         allow_scale=allow_scale)
-                     for f in range(len(truths))])
-
-
 def cmd_evaluate(args, artifacts):
     if args.coherence:
         params, _, _, _, _ = load_checkpoint(args.coherence)
@@ -189,13 +183,11 @@ def cmd_evaluate(args, artifacts):
         raise ValueError(
             f"shape mismatch: estimates {est.gt_shapes.shape} "
             f"vs truth {gt.gt_shapes.shape}")
-    allow_scale = gt.mode == "weak_perspective"
-    error = normalized_3d_error(est.gt_shapes, gt.gt_shapes,
-                                allow_scale=allow_scale)
-    print(f"error {error:.6f}")
+    errs = frame_3d_errors(est.gt_shapes, gt.gt_shapes,
+                           allow_scale=gt.mode == "weak_perspective")
+    print(f"error {np.mean(errs):.6f}")
     if args.cumulative:
-        errs = np.sort(_per_frame_errors(est.gt_shapes, gt.gt_shapes,
-                                         allow_scale))
+        errs = np.sort(errs)
         F = len(errs)
         lines = ["threshold,fraction",
                  f"0,{format(np.count_nonzero(errs <= 0) / F, '.17g')}"]

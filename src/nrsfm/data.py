@@ -24,7 +24,8 @@ import numpy as np
 
 from .geometry import (CameraWeak, normalize_bbox, noise_perturb,
                        project, random_camera)
-from .model import ModelParams, default_beta, default_gamma
+from .model import ModelParams, default_beta, default_gamma, width_schedule
+from .training import OptimizerState
 
 SCENE_MAGIC = "# nrsfm-scene v1"
 CHECKPOINT_MAGIC = "nrsfm-checkpoint v1"
@@ -124,8 +125,7 @@ class PlantedSpec:
 
     @property
     def widths(self):
-        return [int(round(k)) for k in
-                np.linspace(self.width_first, self.width_last, self.layers)]
+        return width_schedule(self.width_first, self.width_last, self.layers)
 
 
 def _planted_dictionaries(spec, rng):
@@ -325,13 +325,18 @@ def load_scene(path):
         P = int(header["points"])
     except KeyError as exc:
         raise SceneFormatError(f"{path}: missing header field {exc}") from None
+    if F < 1 or P < 1:
+        raise SceneFormatError(f"{path}: frames and points must be positive")
     mode = header.get("mode", "orthogonal")
 
-    def section_array(name, n_fields, expected_rows):
+    def section_array(name, n_fields, grid):
+        """The section's records sorted by their (frame[, point]) key; each
+        key must be an in-range integer and appear exactly once."""
         rows = sections[name]
         if not rows:
             raise SceneFormatError(f"{path}: empty section [{name}]")
         body = rows[1:]   # skip header row
+        expected_rows = int(np.prod(grid))
         if len(body) != expected_rows:
             raise SceneFormatError(
                 f"{path}: section [{name}] has {len(body)} records, expected {expected_rows}")
@@ -340,23 +345,31 @@ def load_scene(path):
             raise SceneFormatError(
                 f"{path}: section [{name}] records have {arr.shape[1]} fields, "
                 f"expected {n_fields}")
-        return arr
+        keys = arr[:, :len(grid)]
+        if not np.all((keys >= 0) & (keys < grid) & (keys == np.floor(keys))):
+            raise SceneFormatError(f"{path}: section [{name}] has an index outside the grid")
+        order = np.full(expected_rows, -1)
+        order[np.ravel_multi_index(keys.astype(np.int64).T, grid)] = np.arange(expected_rows)
+        if np.any(order < 0):
+            raise SceneFormatError(f"{path}: section [{name}] repeats a record")
+        return arr[order]
 
     if "measurements" not in sections:
         raise SceneFormatError(f"{path}: missing [measurements] section")
-    m = section_array("measurements", 5, F * P)
-    order = np.lexsort((m[:, 1], m[:, 0]))
-    m = m[order]
+    m = section_array("measurements", 5, (F, P))
     W = m[:, 2:4].reshape(F, P, 2)
-    vis = m[:, 4].reshape(F, P).astype(bool)
+    flags = m[:, 4].reshape(F, P)
+    if not np.all((flags == 0) | (flags == 1)):
+        raise SceneFormatError(f"{path}: [measurements] visible must be 0 or 1")
+    vis = flags.astype(bool)
+    if not np.all(np.isfinite(W[vis])):
+        raise SceneFormatError(f"{path}: [measurements] has a non-finite visible point")
     scene = Scene(W, vis, mode)
     if "shapes" in sections:
-        s = section_array("shapes", 5, F * P)
-        s = s[np.lexsort((s[:, 1], s[:, 0]))]
+        s = section_array("shapes", 5, (F, P))
         scene.gt_shapes = s[:, 2:5].reshape(F, P, 3)
     if "cameras" in sections:
-        c = section_array("cameras", 10, F)
-        c = c[np.argsort(c[:, 0])]
+        c = section_array("cameras", 10, (F,))
         rot = np.empty((F, 3, 2))
         rot[:, :, 0] = c[:, 1:4]
         rot[:, :, 1] = c[:, 4:7]
@@ -364,8 +377,7 @@ def load_scene(path):
         scene.gt_scales = c[:, 7].copy()
         scene.gt_translations = c[:, 8:10].copy()
     if "normalization" in sections:
-        n = section_array("normalization", 4, F)
-        n = n[np.argsort(n[:, 0])]
+        n = section_array("normalization", 4, (F,))
         scene.norm_centroids = n[:, 1:3].copy()
         scene.norm_scales = n[:, 3].copy()
     return scene
@@ -373,10 +385,6 @@ def load_scene(path):
 
 # ---------------------------------------------------------------------------
 # checkpoint IO
-
-def _params_tensors(params):
-    return dict(params.param_items())
-
 
 def save_checkpoint(path, params, config=None, opt_state=None, step=0,
                     skipped=0):
@@ -408,8 +416,6 @@ def save_checkpoint(path, params, config=None, opt_state=None, step=0,
 def load_checkpoint(path):
     """Read a checkpoint.  Returns (params, config_dict_or_None,
     opt_state_or_None, step, skipped)."""
-    from .training import OptimizerState   # deferred: training imports data
-
     with open(path, "rb") as fh:
         magic = fh.readline().decode().rstrip("\n")
         if magic != CHECKPOINT_MAGIC:
@@ -418,29 +424,31 @@ def load_checkpoint(path):
                 f"(got {magic!r}, expected {CHECKPOINT_MAGIC!r})")
         manifest = json.loads(fh.readline().decode())
         tensors = {}
-        for entry in manifest["tensors"]:
-            shape = tuple(entry["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            buf = fh.read(n * 8)
-            if len(buf) != n * 8:
-                raise CheckpointError(f"{path}: truncated tensor {entry['name']}")
-            tensors[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-
-    dicts, enc_b, dec_b = [], [], []
-    i = 1
-    while f"dict{i}" in tensors:
-        dicts.append(tensors[f"dict{i}"])
-        i += 1
-    for i in range(1, len(dicts) + 1):
-        enc_b.append(tensors[f"enc_b{i}"])
-    for i in range(2, len(dicts) + 1):
-        dec_b.append(tensors[f"dec_b{i}"])
-    params = ModelParams(dicts, enc_b, dec_b, tensors["beta"], tensors["gamma"],
-                         manifest["activation"], manifest["block_rows"])
-    opt_state = None
-    if manifest.get("opt_step") is not None:
-        m1 = {n: tensors[f"adam_m/{n}"] for n, _ in params.param_items()}
-        m2 = {n: tensors[f"adam_v/{n}"] for n, _ in params.param_items()}
-        opt_state = OptimizerState(m1, m2, manifest["opt_step"])
+        try:
+            for entry in manifest["tensors"]:
+                shape = tuple(entry["shape"])
+                n = int(np.prod(shape)) if shape else 1
+                buf = fh.read(n * 8)
+                if len(buf) != n * 8:
+                    raise CheckpointError(f"{path}: truncated tensor {entry['name']}")
+                tensors[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            if fh.read(1):
+                raise CheckpointError(f"{path}: trailing bytes after the last tensor")
+            n_layers = 1
+            while f"dict{n_layers + 1}" in tensors:
+                n_layers += 1
+            params = ModelParams(
+                [tensors[f"dict{i}"] for i in range(1, n_layers + 1)],
+                [tensors[f"enc_b{i}"] for i in range(1, n_layers + 1)],
+                [tensors[f"dec_b{i}"] for i in range(2, n_layers + 1)],
+                tensors["beta"], tensors["gamma"],
+                manifest["activation"], manifest["block_rows"])
+            opt_state = None
+            if manifest.get("opt_step") is not None:
+                m1 = {n: tensors[f"adam_m/{n}"] for n, _ in params.param_items()}
+                m2 = {n: tensors[f"adam_v/{n}"] for n, _ in params.param_items()}
+                opt_state = OptimizerState(m1, m2, manifest["opt_step"])
+        except KeyError as exc:
+            raise CheckpointError(f"{path}: checkpoint lacks {exc}") from None
     return (params, manifest.get("config"), opt_state,
             manifest.get("step", 0), manifest.get("skipped", 0))

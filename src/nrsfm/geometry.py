@@ -4,6 +4,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# A camera whose second singular value is at or below this is rank-deficient.
+RANK_EPS = 1e-10
+
 
 @dataclass
 class CameraWeak:
@@ -122,16 +125,24 @@ def translation_residual(W, mask):
     return W[~mask].sum(axis=0) / P
 
 
+def polar_factor(M):
+    """Polar factor Q = U V^T of 3x2 matrices (any leading batch shape) from
+    their thin SVD.  Returns (Q, U, s, Vt, full_rank), full_rank being
+    sigma2 > RANK_EPS per matrix."""
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    return U @ Vt, U, s, Vt, s[..., -1] > RANK_EPS
+
+
 def orthonormalize_camera(Mraw):
     """Nearest column-orthonormal 3x2 matrix (polar factor U V^T of the thin
     SVD).  Returns (Mortho, singular values); rejects rank-deficient input."""
     Mraw = np.asarray(Mraw, dtype=float)
     if Mraw.shape != (3, 2):
         raise ValueError(f"orthonormalize_camera: expected 3x2, got {Mraw.shape}")
-    U, s, Vt = np.linalg.svd(Mraw, full_matrices=False)
-    if s[-1] <= 1e-10:
+    Q, _, s, _, full_rank = polar_factor(Mraw)
+    if not full_rank:
         raise ValueError(f"orthonormalize_camera: rank-deficient input (sigma2 = {s[-1]:.3g})")
-    return U @ Vt, s
+    return Q, s
 
 
 def procrustes_rotation(Sest, Sgt):
@@ -157,19 +168,24 @@ def align_shapes(Sest, Sgt, allow_scale=False):
     return aligned
 
 
-def normalized_3d_error(estimates, truths, allow_scale=False, align=True):
-    """Mean over frames of ||align(S_est) - S_gt||_F / ||S_gt||_F."""
+def frame_3d_errors(estimates, truths, allow_scale=False, align=True):
+    """Per frame ||align(S_est) - S_gt||_F / ||S_gt||_F, as an array."""
     if len(estimates) != len(truths):
-        raise ValueError("normalized_3d_error: frame counts differ")
-    errs = []
-    for Sest, Sgt in zip(estimates, truths):
+        raise ValueError("3D error: frame counts differ")
+    errs = np.empty(len(truths))
+    for f, (Sest, Sgt) in enumerate(zip(estimates, truths)):
         Sgt = np.asarray(Sgt, dtype=float)
         denom = np.linalg.norm(Sgt)
         if denom == 0:
-            raise ValueError("normalized_3d_error: zero-norm ground-truth frame")
+            raise ValueError("3D error: zero-norm ground-truth frame")
         Sa = align_shapes(Sest, Sgt, allow_scale=allow_scale) if align else np.asarray(Sest, dtype=float)
-        errs.append(np.linalg.norm(Sa - Sgt) / denom)
-    return float(np.mean(errs))
+        errs[f] = np.linalg.norm(Sa - Sgt) / denom
+    return errs
+
+
+def normalized_3d_error(estimates, truths, allow_scale=False, align=True):
+    """Mean over frames of frame_3d_errors."""
+    return float(np.mean(frame_3d_errors(estimates, truths, allow_scale, align)))
 
 
 def mutual_coherence(D):

@@ -13,14 +13,14 @@ Conventions
   (the homogeneous coordinate).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraWeak
+from .geometry import CameraWeak, polar_factor
+from .sparse import active_mask, threshold
 
 LOSS_SMOOTHING = 1e-12
-RANK_EPS = 1e-10
 HOMOGENEOUS_EPS = 1e-6
 POLAR_CLAMP = 1e-8
 
@@ -104,6 +104,11 @@ class ModelParams:
         )
 
 
+def width_schedule(first, last, layers):
+    """Layer widths K_1..K_N interpolated linearly from first to last."""
+    return [int(round(k)) for k in np.linspace(first, last, layers)]
+
+
 def default_beta(block_rows):
     """Uniform-average combiner, matching the oracle 1/(r*2) weighting."""
     return np.full((block_rows, 2), 1.0 / (block_rows * 2))
@@ -124,26 +129,56 @@ class ForwardOutput:
     loss_value: float
 
 
-def _act_fwd(v, b, activation):
-    """Threshold activation; b broadcasts against v."""
-    if activation == "relu":
-        return np.maximum(v - b, 0.0)
-    return np.sign(v) * np.maximum(np.abs(v) - b, 0.0)
-
-
-def _act_masks(v, b, activation):
-    """Returns (dv multiplier, db multiplier per active entry)."""
-    if activation == "relu":
-        active = (v - b) > 0
-        return active, np.where(active, -1.0, 0.0)
-    active = np.abs(v) > b
-    return active, np.where(active, -np.sign(v), 0.0)
+def _threshold_vjp(g, v, b, activation):
+    """Pull g back through threshold(v, b, activation): returns the gradient
+    for v and the per-entry gradient for b."""
+    on = active_mask(v, b, activation)
+    db = np.where(on, -1.0 if activation == "relu" else -np.sign(v), 0.0)
+    return g * on, g * db
 
 
 def _first_dict_3d(params):
     P = params.point_count
     K1 = params.widths[0]
     return params.dictionaries[0].reshape(P, K1, 3)
+
+
+def _encoder(X, params):
+    """Block-ISTA encoder over masked frames X (B, P, 2).  Returns the
+    pre-activations and the block codes Psi_1..Psi_N, each (B, K_i, r, 2)."""
+    r = params.block_rows
+    T0 = np.empty((X.shape[0], params.widths[0], r, 2))
+    T0[:, :, :3, :] = np.einsum("pkc,bpq->bkcq", _first_dict_3d(params), X)
+    if r == 4:
+        T0[:, :, 3, :] = X.sum(axis=1)[:, None, :]
+    pre_acts, blocks = [T0], []
+    for d, b in enumerate(params.enc_thresholds):
+        if d:
+            pre_acts.append(np.einsum("jk,bjrc->bkrc", params.dictionaries[d], blocks[-1]))
+        blocks.append(threshold(pre_acts[d], b[None, :, None, None], params.activation))
+    return pre_acts, blocks
+
+
+def _bottleneck(PsiN, params):
+    """Linear bottleneck over (B, K_N, r, 2) codes: psi_N^k = <beta, Psi_N^k>
+    and camera_raw = sum_k gamma_k Psi_N^k."""
+    psiN = np.einsum("rc,bkrc->bk", params.beta, PsiN)
+    Mraw = np.einsum("k,bkrc->brc", params.gamma, PsiN)
+    return psiN, Mraw
+
+
+def _decoder(psiN, params):
+    """Decoder from codes (B, K_N) to shapes (B, P, 3); the final layer is
+    purely linear.  Returns (S, phi1, records), records holding (dictionary
+    index, input, pre-activation) of each thresholded layer in the order
+    the layers are applied."""
+    phi = psiN
+    records = []
+    for d in range(params.n_layers - 1, 0, -1):
+        u = np.einsum("jk,bk->bj", params.dictionaries[d], phi)
+        records.append((d, phi, u))
+        phi = threshold(u, params.dec_thresholds[d - 1][None, :], params.activation)
+    return np.einsum("pkc,bk->bpc", _first_dict_3d(params), phi), phi, records
 
 
 def forward_batch(W, vis, params):
@@ -162,49 +197,16 @@ def forward_batch(W, vis, params):
     P = params.point_count
     if W.shape[1] != P:
         raise ValueError(f"forward_batch: model has {P} points, W has {W.shape[1]}")
-    r = params.block_rows
-    act = params.activation
-    B = W.shape[0]
 
     X = np.where(vis[:, :, None], W, 0.0)
-    D1r = _first_dict_3d(params)
-
-    # encoder
-    T0 = np.empty((B, params.widths[0], r, 2))
-    T0[:, :, :3, :] = np.einsum("pkc,bpq->bkcq", D1r, X)
-    if r == 4:
-        T0[:, :, 3, :] = X.sum(axis=1)[:, None, :]
-    pre_acts = [T0]
-    psi = _act_fwd(T0, params.enc_thresholds[0][None, :, None, None], act)
-    blocks = [psi]
-    for d in range(1, params.n_layers):
-        V = np.einsum("jk,bjrc->bkrc", params.dictionaries[d], psi)
-        pre_acts.append(V)
-        psi = _act_fwd(V, params.enc_thresholds[d][None, :, None, None], act)
-        blocks.append(psi)
-
-    # bottleneck
-    psiN = np.einsum("rc,bkrc->bk", params.beta, blocks[-1])
-    Mraw = np.einsum("k,bkrc->brc", params.gamma, blocks[-1])
-    Mtop = Mraw[:, :3, :]
-    U, s, Vt = np.linalg.svd(Mtop, full_matrices=False)
-    Q = U @ Vt
-    valid = s[:, 1] > RANK_EPS
-
-    # decoder
-    phi = psiN
-    dec_pre = []
-    dec_inputs = []
-    for d in range(params.n_layers - 1, 0, -1):
-        dec_inputs.append(phi)
-        u = np.einsum("jk,bk->bj", params.dictionaries[d], phi)
-        dec_pre.append(u)
-        phi = _act_fwd(u, params.dec_thresholds[d - 1][None, :], act)
-    S = np.einsum("pkc,bk->bpc", D1r, phi)
+    pre_acts, blocks = _encoder(X, params)
+    psiN, Mraw = _bottleneck(blocks[-1], params)
+    Q, U, s, Vt, valid = polar_factor(Mraw[:, :3, :])
+    S, phi, dec_records = _decoder(psiN, params)
 
     eps = None
-    t_hat = np.zeros((B, 2))
-    if r == 4:
+    t_hat = np.zeros((W.shape[0], 2))
+    if params.block_rows == 4:
         eps = phi.sum(axis=1)
         valid = valid & (np.abs(eps) > HOMOGENEOUS_EPS)
         t_hat = eps[:, None] * Mraw[:, 3, :]
@@ -216,8 +218,8 @@ def forward_batch(W, vis, params):
     cache = {
         "W": W, "vis": vis, "X": X, "pre_acts": pre_acts, "blocks": blocks,
         "psiN": psiN, "Mraw": Mraw, "U": U, "s": s, "Vt": Vt, "Q": Q,
-        "dec_pre": dec_pre, "dec_inputs": dec_inputs, "phi1": phi, "S": S,
-        "eps": eps, "What": What, "resid": resid, "losses": losses,
+        "dec_records": dec_records, "phi1": phi, "S": S, "eps": eps,
+        "t_hat": t_hat, "What": What, "resid": resid, "losses": losses,
         "valid": valid,
     }
     return losses, valid, cache
@@ -256,13 +258,13 @@ def polar_vjp(U, s, Vt, gQ):
 
 def backward_batch(cache, params):
     """Exact gradient of the summed loss over valid frames with respect to
-    every parameter.  Returns a dict keyed like param_items()."""
+    every parameter.  Returns a dict keyed like param_items().  Raises
+    FloatingPointError if any gradient entry is non-finite, naming the
+    parameter group."""
     act = params.activation
     r = params.block_rows
     D1r = _first_dict_3d(params)
-    N = params.n_layers
 
-    vis = cache["vis"]
     weight = cache["valid"].astype(float)
     gWhat = (-cache["resid"] / cache["losses"][:, None, None]) * weight[:, None, None]
 
@@ -286,15 +288,10 @@ def backward_batch(cache, params):
     if r == 4:
         gphi = gphi + g_eps[:, None]
 
-    # decoder thresholded layers, in reverse of decode order
-    for step in range(N - 2, -1, -1):
-        d = step + 1                       # dictionary index used at this step
-        u = cache["dec_pre"][N - 2 - step]
-        phi_in = cache["dec_inputs"][N - 2 - step]
-        b = params.dec_thresholds[d - 1][None, :]
-        dv, db = _act_masks(u, b, act)
-        gu = gphi * dv
-        grads[f"dec_b{d + 1}"] += (gphi * db).sum(axis=0)
+    # decoder thresholded layers, the last one applied first
+    for d, phi_in, u in reversed(cache["dec_records"]):
+        gu, gb = _threshold_vjp(gphi, u, params.dec_thresholds[d - 1][None, :], act)
+        grads[f"dec_b{d + 1}"] += gb.sum(axis=0)
         grads[f"dict{d + 1}"] += np.einsum("bj,bk->jk", gu, phi_in)
         gphi = np.einsum("jk,bj->bk", params.dictionaries[d], gu)
     gpsiN = gphi
@@ -306,109 +303,90 @@ def backward_batch(cache, params):
     gPsi = (params.beta[None, None] * gpsiN[:, :, None, None]
             + params.gamma[None, :, None, None] * gMraw[:, None, :, :])
 
-    # encoder layers 2..N
-    for d in range(N - 1, 0, -1):
-        V = cache["pre_acts"][d]
-        b = params.enc_thresholds[d][None, :, None, None]
-        dv, db = _act_masks(V, b, act)
-        gV = gPsi * dv
-        grads[f"enc_b{d + 1}"] += (gPsi * db).sum(axis=(0, 2, 3))
-        grads[f"dict{d + 1}"] += np.einsum("bjrc,bkrc->jk", cache["blocks"][d - 1], gV)
-        gPsi = np.einsum("jk,bkrc->bjrc", params.dictionaries[d], gV)
-
-    # encoder first layer
-    T0 = cache["pre_acts"][0]
-    b = params.enc_thresholds[0][None, :, None, None]
-    dv, db = _act_masks(T0, b, act)
-    gT0 = gPsi * dv
-    grads["enc_b1"] += (gPsi * db).sum(axis=(0, 2, 3))
-    gD1r = np.einsum("bkcq,bpq->pkc", gT0[:, :, :3, :], cache["X"])
+    # encoder layers N..1
+    for d in range(params.n_layers - 1, -1, -1):
+        gV, gb = _threshold_vjp(gPsi, cache["pre_acts"][d],
+                                params.enc_thresholds[d][None, :, None, None], act)
+        grads[f"enc_b{d + 1}"] += gb.sum(axis=(0, 2, 3))
+        if d:
+            grads[f"dict{d + 1}"] += np.einsum("bjrc,bkrc->jk", cache["blocks"][d - 1], gV)
+            gPsi = np.einsum("jk,bkrc->bjrc", params.dictionaries[d], gV)
+    gD1r = np.einsum("bkcq,bpq->pkc", gV[:, :, :3, :], cache["X"])
     grads["dict1"] += gD1r.reshape(params.dictionaries[0].shape)
 
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError(f"non-finite gradient in parameter group {name!r}")
     return grads
+
+
+def _one_frame(W, mask):
+    """One frame and its mask (None: all visible) as a batch of one."""
+    W = np.asarray(W, dtype=float)
+    if mask is None:
+        mask = np.ones(W.shape[0], dtype=bool)
+    return W[None], np.asarray(mask, dtype=bool)[None]
+
+
+def _require_valid(valid, params):
+    if not np.all(valid):
+        raise CameraRankError(
+            "recovered camera is rank-deficient"
+            + ("" if params.block_rows == 3 else " or homogeneous coordinate vanished"))
 
 
 def encode(W, mask, params):
     """Hierarchical block-ISTA encoder for one frame; returns the list of
     block codes Psi_1..Psi_N, each (K_i, r, 2)."""
-    W = np.asarray(W, dtype=float)
-    if mask is None:
-        mask = np.ones(W.shape[0], dtype=bool)
-    _, _, cache = forward_batch(W[None], np.asarray(mask, dtype=bool)[None], params)
+    _, _, cache = forward_batch(*_one_frame(W, mask), params)
     return [blk[0] for blk in cache["blocks"]]
 
 
 def recover_code_camera(PsiN, params):
-    """Linear bottleneck: psi_N^k = <beta, Psi_N^k>, camera_raw = sum_k
-    gamma_k Psi_N^k."""
+    """Linear bottleneck for one frame: returns (psi_N, camera_raw)."""
     PsiN = np.asarray(PsiN, dtype=float)
     r = params.block_rows
     if PsiN.shape != (params.widths[-1], r, 2):
         raise ValueError(f"recover_code_camera: expected {(params.widths[-1], r, 2)}, "
                          f"got {PsiN.shape}")
-    psiN = np.einsum("rc,krc->k", params.beta, PsiN)
-    Mraw = np.einsum("k,krc->rc", params.gamma, PsiN)
-    return psiN, Mraw
+    psiN, Mraw = _bottleneck(PsiN[None], params)
+    return psiN[0], Mraw[0]
 
 
 def decode(psiN, params):
-    """Nonlinear decoder from the hidden code to a P x 3 shape.  The final
-    layer is purely linear (no threshold)."""
+    """Nonlinear decoder from one hidden code to a P x 3 shape."""
     psiN = np.asarray(psiN, dtype=float)
     if psiN.shape != (params.widths[-1],):
         raise ValueError("decode: code length must equal K_N")
-    phi = psiN
-    for d in range(params.n_layers - 1, 0, -1):
-        u = params.dictionaries[d] @ phi
-        phi = _act_fwd(u, params.dec_thresholds[d - 1], params.activation)
-    S = np.einsum("pkc,k->pc", _first_dict_3d(params), phi)
-    return S
+    return _decoder(psiN[None], params)[0][0]
 
 
-def forward(W, mask, params, mode=None):
-    """Full forward pass for one frame.  mode defaults to 'orthogonal' for
-    3-row models and 'weak_translation' for 4-row models."""
-    if mode is None:
-        mode = "weak_translation" if params.block_rows == 4 else "orthogonal"
-    if (mode == "weak_translation") != (params.block_rows == 4):
-        raise ValueError(f"forward: mode {mode!r} inconsistent with "
-                         f"block_rows={params.block_rows}")
-    W = np.asarray(W, dtype=float)
-    if mask is None:
-        mask = np.ones(W.shape[0], dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    losses, valid, cache = forward_batch(W[None], mask[None], params)
-    if not valid[0]:
-        raise CameraRankError(
-            "recovered camera is rank-deficient"
-            + ("" if params.block_rows == 3 else " or homogeneous coordinate vanished"))
-    Mortho = cache["Q"][0]
-    t_hat = np.zeros(2)
-    if params.block_rows == 4:
-        t_hat = cache["eps"][0] * cache["Mraw"][0, 3, :]
-    cam = CameraWeak(Mortho, scale=1.0, translation=t_hat)
+def forward(W, mask, params):
+    """Full forward pass for one frame."""
+    losses, valid, cache = forward_batch(*_one_frame(W, mask), params)
+    _require_valid(valid, params)
     return ForwardOutput(
         hidden_blocks=cache["blocks"][-1][0],
         code=cache["psiN"][0],
         camera_raw=cache["Mraw"][0],
-        camera=cam,
+        camera=CameraWeak(cache["Q"][0], scale=1.0, translation=cache["t_hat"][0]),
         shape=cache["S"][0],
         reprojection=cache["What"][0],
         loss_value=float(losses[0]),
     )
 
 
-def loss(W, mask, params, mode=None):
+def loss(W, mask, params):
     """Masked reprojection loss: per frame the smoothed unsquared Frobenius
-    norm of the visible residual, summed over the batch."""
+    norm of the visible residual, summed over the batch (W (B, P, 2)) or
+    for one frame (W (P, 2))."""
     W = np.asarray(W, dtype=float)
     if W.ndim == 2:
-        return forward(W, mask, params, mode=mode).loss_value
+        return forward(W, mask, params).loss_value
     if mask is None:
         mask = np.ones(W.shape[:2], dtype=bool)
     losses, valid, _ = forward_batch(W, mask, params)
-    if not np.all(valid):
-        raise CameraRankError("rank-deficient camera in batch")
+    _require_valid(valid, params)
     return float(losses.sum())
 
 

@@ -8,25 +8,40 @@ is carried along).
 import numpy as np
 
 
+def threshold(x, b, activation):
+    """The thresholding kernel, unvalidated: "relu" gives max(x - b, 0),
+    anything else the two-sided shrink sign(x) * max(|x| - b, 0).  b
+    broadcasts against x."""
+    if activation == "relu":
+        return np.maximum(x - b, 0.0)
+    return np.sign(x) * np.maximum(np.abs(x) - b, 0.0)
+
+
+def active_mask(x, b, activation):
+    """Mask of the entries that threshold(x, b, activation) passes through."""
+    if activation == "relu":
+        return (x - b) > 0
+    return np.abs(x) > b
+
+
+def _nonneg(b, caller):
+    b = np.asarray(b, dtype=float)
+    if np.any(b < 0):
+        raise ValueError(f"{caller}: thresholds must be non-negative")
+    return b
+
+
 def soft_threshold(x, b):
     """Shrink x toward zero by b: x-b above b, x+b below -b, 0 in between.
 
     b must be non-negative and broadcastable to x.
     """
-    x = np.asarray(x, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.any(b < 0):
-        raise ValueError("soft_threshold: thresholds must be non-negative")
-    return np.sign(x) * np.maximum(np.abs(x) - b, 0.0)
+    return threshold(np.asarray(x, dtype=float), _nonneg(b, "soft_threshold"), "soft")
 
 
 def relu_threshold(x, b):
     """One-sided variant: max(x - b, 0)."""
-    x = np.asarray(x, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.any(b < 0):
-        raise ValueError("relu_threshold: thresholds must be non-negative")
-    return np.maximum(x - b, 0.0)
+    return threshold(np.asarray(x, dtype=float), _nonneg(b, "relu_threshold"), "relu")
 
 
 def ista(x, D, alpha, tau, iters):
@@ -88,14 +103,10 @@ def block_threshold(V, b, mode="soft"):
         raise ValueError(
             f"block_threshold: {b.shape[0]} thresholds for {V.shape[0]} blocks"
         )
-    if np.any(b < 0):
-        raise ValueError("block_threshold: thresholds must be non-negative")
-    bb = b[:, None, None]
-    if mode == "soft":
-        return np.sign(V) * np.maximum(np.abs(V) - bb, 0.0)
-    if mode == "relu":
-        return np.maximum(V - bb, 0.0)
-    raise ValueError(f"block_threshold: unknown mode {mode!r}")
+    b = _nonneg(b, "block_threshold")
+    if mode not in ("soft", "relu"):
+        raise ValueError(f"block_threshold: unknown mode {mode!r}")
+    return threshold(V, b[:, None, None], mode)
 
 
 def block_ista_step(X, D, b, mask=None, mode="soft"):

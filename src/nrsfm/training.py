@@ -47,8 +47,7 @@ class TrainConfig:
 
     @property
     def widths(self):
-        return [int(round(k)) for k in
-                np.linspace(self.width_first, self.width_last, self.layers)]
+        return mdl.width_schedule(self.width_first, self.width_last, self.layers)
 
     @property
     def block_rows(self):
@@ -109,29 +108,18 @@ def init_params(config, point_count, seed=None):
 
 
 def gradients(params, measurements, masks):
-    """Exact gradient of the summed loss over the batch with respect to
-    every parameter.  Rank-deficient frames contribute nothing (their count
-    is in the returned info).  Raises FloatingPointError if any gradient
-    entry is non-finite, naming the parameter group."""
-    grads, info = _forward_backward(params, measurements, masks)
-    return grads
-
-
-def _forward_backward(params, measurements, masks):
+    """Exact gradient of the summed loss over the batch (or one frame) with
+    respect to every parameter.  Rank-deficient frames contribute nothing.
+    Raises FloatingPointError if any gradient entry is non-finite, naming
+    the parameter group."""
     measurements = np.asarray(measurements, dtype=float)
     if measurements.ndim == 2:
         measurements = measurements[None]
         masks = np.asarray(masks, dtype=bool)[None]
     if measurements.shape[0] == 0:
         raise ValueError("gradients: empty batch")
-    losses, valid, cache = mdl.forward_batch(measurements, masks, params)
-    grads = mdl.backward_batch(cache, params)
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in parameter group {name!r}")
-    info = {"losses": losses, "valid": valid,
-            "skipped": int(np.count_nonzero(~valid))}
-    return grads, info
+    _, _, cache = mdl.forward_batch(measurements, masks, params)
+    return mdl.backward_batch(cache, params)
 
 
 def adam_step(params, grads, state, lr):
@@ -239,18 +227,14 @@ class TrainResult:
     opt_state: OptimizerState
     skipped: int
 
-    def __iter__(self):
-        # allow `params, history = train(...)`
-        return iter((self.params, self.history))
-
 
 def train(scene, config, init=None, verbose=True):
     """Minibatch Adam over seeded-shuffled frames.  Records full-scene mean
     loss, final-dictionary coherence, and (with ground truth) normalized 3D
     error every eval_interval steps.  Deterministic given (scene, config,
-    seed).  Pass init=(params, opt_state, start_step, skipped) to resume.
-
-    Returns a TrainResult; unpacks as (params, history)."""
+    seed).  Pass init=(params, opt_state, start_step, skipped) to resume;
+    the params must have the layers, widths, activation and block rows of
+    the config.  Returns a TrainResult."""
     if scene.frame_count == 0:
         raise ValueError("empty scene")
     if config.normalize != "none" and not scene.is_normalized:
@@ -263,6 +247,11 @@ def train(scene, config, init=None, verbose=True):
         start_step, skipped = 0, 0
     else:
         params, opt_state, start_step, skipped = init
+        have = (params.n_layers, params.widths, params.activation, params.block_rows)
+        want = (config.layers, config.widths, config.activation, config.block_rows)
+        if have != want:
+            raise ValueError("resume: checkpoint has (layers, widths, activation, block "
+                             f"rows) {have} but the config asks for {want}")
         params = params.copy()
 
     history = TrainHistory()
@@ -283,10 +272,11 @@ def train(scene, config, init=None, verbose=True):
     for step in range(start_step, config.total_steps):
         idx = _batch_indices(config.seed, scene.frame_count, step,
                              config.batch_size, perm_cache)
-        grads, info = _forward_backward(params, scene.measurements[idx],
-                                        scene.visibility[idx])
-        skipped += info["skipped"]
-        adam_step(params, grads, opt_state, lr_schedule(step, config))
+        _, valid, cache = mdl.forward_batch(scene.measurements[idx],
+                                            scene.visibility[idx], params)
+        skipped += int(np.count_nonzero(~valid))
+        adam_step(params, mdl.backward_batch(cache, params), opt_state,
+                  lr_schedule(step, config))
         if (step + 1) % config.eval_interval == 0 or step + 1 == config.total_steps:
             record(step + 1)
     return TrainResult(params, history, opt_state, skipped)
@@ -305,9 +295,6 @@ def reconstruct(scene, params):
                  else np.zeros((scene.frame_count, 2)))
     out = []
     for f in range(scene.frame_count):
-        S = cache["S"][f] * scales[f]
-        t = centroids[f].copy()
-        if params.block_rows == 4:
-            t = t + scales[f] * cache["eps"][f] * cache["Mraw"][f, 3, :]
-        out.append((S, CameraWeak(cache["Q"][f], 1.0, t)))
+        t = centroids[f] + scales[f] * cache["t_hat"][f]
+        out.append((cache["S"][f] * scales[f], CameraWeak(cache["Q"][f], 1.0, t)))
     return out

@@ -189,3 +189,20 @@ def test_train_translation_requires_weak_perspective(tmp_path):
     assert _run(["train", scene, "--checkpoint", ck, "--history", h,
                  "--translation", "--quiet"]) == 1
     assert not os.path.exists(ck)
+
+
+def test_train_resume_rejects_mismatched_checkpoint(tmp_path, capsys):
+    # the other fields are covered by test_train_resume_rejects_other_structure
+    scene = _make_scene(tmp_path)
+    ck, h = str(tmp_path / "r.ck"), str(tmp_path / "r.csv")
+    assert _run(["train", scene, "--checkpoint", ck, "--history", h]
+                + _TRAIN_FLAGS) == 0
+    ck2, h2 = str(tmp_path / "r2.ck"), str(tmp_path / "r2.csv")
+    resume = ["train", scene, "--checkpoint", ck2, "--history", h2,
+              "--resume", ck] + _TRAIN_FLAGS + ["--total-steps", "80"]
+    capsys.readouterr()
+    assert _run(resume + ["--width-first", "8", "--width-last", "4"]) == 1
+    assert capsys.readouterr().err.startswith("error: resume:")
+    assert not os.path.exists(ck2)
+    assert not os.path.exists(h2)
+    assert _run(resume) == 0

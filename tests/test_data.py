@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 
 import numpy as np
@@ -164,6 +165,47 @@ def test_scene_load_errors(tmp_path):
     with pytest.raises(SceneFormatError):
         load_scene(tmp_path / "corrupt.txt")
 
+    def edited(name, section, row, field, value):
+        """The good file with one field of one record replaced."""
+        lines = good.read_text().splitlines()
+        i = lines.index(f"[{section}]") + 2 + row
+        parts = lines[i].split(",")
+        parts[field] = value
+        lines[i] = ",".join(parts)
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        return tmp_path / name
+
+    assert load_scene(edited("same.txt", "measurements", 1, 1, "1")).frame_count == 2
+    (tmp_path / "empty.txt").write_text(
+        "# nrsfm-scene v1\n# frames=0 points=4\n[measurements]\nframe,point,u,v,visible\n")
+    with pytest.raises(SceneFormatError, match="positive"):
+        load_scene(tmp_path / "empty.txt")
+    # a duplicated (frame, point) record in place of a missing one
+    for section in ("measurements", "shapes"):
+        with pytest.raises(SceneFormatError, match="repeats"):
+            load_scene(edited("dup.txt", section, 1, 1, "0"))
+    with pytest.raises(SceneFormatError, match="repeats"):
+        load_scene(edited("dupcam.txt", "cameras", 1, 0, "0"))
+    # indices outside the frames x points grid, or not integers
+    for field, value in ((0, "2"), (1, "4"), (1, "-1"), (1, "0.5"), (0, "nan")):
+        with pytest.raises(SceneFormatError, match="outside"):
+            load_scene(edited("grid.txt", "measurements", 1, field, value))
+    with pytest.raises(SceneFormatError, match="outside"):
+        load_scene(edited("gridcam.txt", "cameras", 1, 0, "5"))
+    # non-finite coordinates on a visible point; hidden points may hold any
+    for value in ("nan", "inf"):
+        with pytest.raises(SceneFormatError, match="non-finite"):
+            load_scene(edited("nan.txt", "measurements", 3, 2, value))
+    lines = good.read_text().splitlines()
+    i = lines.index("[measurements]") + 2 + 3
+    lines[i] = ",".join(lines[i].split(",")[:2] + ["nan", "nan", "0"])
+    (tmp_path / "hidden.txt").write_text("\n".join(lines) + "\n")
+    assert not load_scene(tmp_path / "hidden.txt").visibility[0, 3]
+    # visible flags other than 0 and 1
+    for value in ("2", "0.5", "-1"):
+        with pytest.raises(SceneFormatError, match="visible"):
+            load_scene(edited("flag.txt", "measurements", 0, 4, value))
+
 
 def test_shipped_sample_scene_loads():
     scene = load_scene(FIXTURE)
@@ -237,6 +279,23 @@ def test_checkpoint_errors(tmp_path):
     trunc.write_bytes(data[:-16])
     with pytest.raises(CheckpointError):
         load_checkpoint(trunc)
+    trailing = tmp_path / "trailing.bin"
+    trailing.write_bytes(data + b"\0" * 8)
+    with pytest.raises(CheckpointError, match="trailing"):
+        load_checkpoint(trailing)
+    # a manifest without the beta tensor, and its bytes taken out
+    magic, manifest, blob = data.split(b"\n", 2)
+    entries = json.loads(manifest)["tensors"]
+    names = [e["name"] for e in entries]
+    offsets = np.cumsum([0] + [8 * int(np.prod(e["shape"])) for e in entries])
+    k = names.index("beta")
+    man = json.loads(manifest)
+    del man["tensors"][k]
+    lacking = tmp_path / "lacking.bin"
+    lacking.write_bytes(magic + b"\n" + json.dumps(man).encode() + b"\n"
+                        + blob[:offsets[k]] + blob[offsets[k + 1]:])
+    with pytest.raises(CheckpointError, match="beta"):
+        load_checkpoint(lacking)
 
 
 def test_scene_copy_is_deep():

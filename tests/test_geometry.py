@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nrsfm.geometry import (CameraWeak, align_shapes, denormalize_bbox,
-                            mutual_coherence, noise_perturb, normalize_bbox,
+                            frame_3d_errors, mutual_coherence, noise_perturb, normalize_bbox,
                             normalized_3d_error, orthonormalize_camera,
                             project, random_camera, random_rotation,
                             translation_residual)
@@ -186,6 +186,19 @@ def test_normalized_3d_error_rotation_invariant():
     e1 = normalized_3d_error(est, S)
     e2 = normalized_3d_error([e @ R for e in est], S)
     assert np.isclose(e1, e2, atol=1e-10)
+
+
+def test_frame_3d_errors_one_per_frame():
+    rng = np.random.default_rng(17)
+    S = rng.standard_normal((5, 6, 3))
+    est = S + 0.1 * rng.standard_normal(S.shape)
+    for allow_scale in (False, True):
+        errs = frame_3d_errors(est, S, allow_scale=allow_scale)
+        assert errs.shape == (5,)
+        for f in range(5):
+            assert errs[f] == normalized_3d_error(est[f:f + 1], S[f:f + 1],
+                                                  allow_scale=allow_scale)
+        assert normalized_3d_error(est, S, allow_scale=allow_scale) == np.mean(errs)
 
 
 def test_normalized_3d_error_zero_norm_rejected():

@@ -222,13 +222,6 @@ def test_forward_rank_deficient_raises():
         forward(rng.standard_normal((5, 2)), None, params)
 
 
-def test_forward_mode_mismatch():
-    rng = np.random.default_rng(17)
-    params = _random_params(rng)
-    with pytest.raises(ValueError):
-        forward(np.zeros((5, 2)), None, params, mode="weak_translation")
-
-
 def test_forward_full_mask_bit_equal_to_none():
     rng = np.random.default_rng(18)
     params = _random_params(rng)

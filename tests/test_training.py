@@ -74,8 +74,9 @@ def _total_loss(params, W, vis):
     return float(losses[valid].sum())
 
 
-def _random_instance(rng, block_rows=3, activation="relu"):
-    cfg = TrainConfig(layers=2, width_first=6, width_last=3,
+def _random_instance(rng, block_rows=3, activation="relu", layers=2,
+                     width_last=3):
+    cfg = TrainConfig(layers=layers, width_first=6, width_last=width_last,
                       activation=activation,
                       translation=(block_rows == 4))
     params = init_params(cfg, 4, seed=int(rng.integers(1 << 30)))
@@ -90,11 +91,15 @@ def _random_instance(rng, block_rows=3, activation="relu"):
 
 
 def test_gradients_match_finite_differences():
+    # 2 layers 6 -> 3, then 3 layers with unequal (6, 4, 3) and equal
+    # (6, 6, 6) widths, where the decoder's layer order matters
     rng = np.random.default_rng(0)
-    for trial in range(20):
+    shapes = [(2, 3)] * 20 + [(3, 3)] * 8 + [(3, 6)] * 8
+    for trial, (layers, width_last) in enumerate(shapes):
         block_rows = 4 if trial % 4 == 3 else 3
         activation = "soft" if trial % 2 else "relu"
-        params, W, vis = _random_instance(rng, block_rows, activation)
+        params, W, vis = _random_instance(rng, block_rows, activation,
+                                          layers, width_last)
         assert _fd_check(params, W, vis) <= 1e-4
 
 
@@ -176,7 +181,7 @@ def _tiny_scene(seed=3, frames=24, noise=0.0):
 def test_train_records_every_interval_and_descends():
     scene = _tiny_scene()
     cfg = _small_config(total_steps=200, eval_interval=50)
-    params, history = train(scene, cfg, verbose=False)
+    history = train(scene, cfg, verbose=False).history
     steps = history.column("step")
     assert steps == [0, 50, 100, 150, 200]
     assert history.records[-1].mean_loss < history.records[0].mean_loss
@@ -224,6 +229,17 @@ def test_train_resume_bit_exact():
         ref = tail[rec.step]
         assert rec.mean_loss == ref.mean_loss
         assert rec.error3d == ref.error3d
+
+
+def test_train_resume_rejects_other_structure():
+    scene = _tiny_scene()
+    half = train(scene, _small_config(total_steps=2), verbose=False)
+    init = (half.params, half.opt_state, 2, half.skipped)
+    for change in (dict(layers=3), dict(width_first=5), dict(width_last=2),
+                   dict(activation="soft"), dict(translation=True)):
+        with pytest.raises(ValueError, match="resume"):
+            train(scene, _small_config(total_steps=4, **change), init=init,
+                  verbose=False)
 
 
 def test_last_dictionary_atoms_single_layer():
