@@ -16,7 +16,7 @@ import numpy as np
 from .data import (PlantedSpec, load_checkpoint, load_scene, make_missing,
                    normalize_scene, save_checkpoint, save_scene,
                    synth_planted)
-from .geometry import frame_3d_errors, mutual_coherence
+from .geometry import CAMERA_MODES, frame_3d_errors, mutual_coherence
 from .model import CameraRankError
 from .training import (OptimizerState, TrainConfig, last_dictionary_atoms,
                        reconstruct, train)
@@ -43,7 +43,7 @@ def _parse_config_file(path):
 
 def _coerce(key, value):
     kind = _CONFIG_FIELDS[key]
-    if kind == "bool" or kind is bool:
+    if kind is bool:
         if isinstance(value, bool):
             return value
         if value.lower() in ("1", "true", "yes"):
@@ -51,11 +51,7 @@ def _coerce(key, value):
         if value.lower() in ("0", "false", "no"):
             return False
         raise ValueError(f"bad boolean for {key}: {value!r}")
-    if kind == "int" or kind is int:
-        return int(value)
-    if kind == "float" or kind is float:
-        return float(value)
-    return str(value)
+    return kind(value)
 
 
 def _build_config(args):
@@ -232,8 +228,7 @@ def build_parser():
     g.add_argument("--width-first", dest="width_first", type=int, default=32)
     g.add_argument("--width-last", dest="width_last", type=int, default=8)
     g.add_argument("--sparsity", type=int, default=2)
-    g.add_argument("--mode", choices=["orthogonal", "weak_perspective"],
-                   default="orthogonal")
+    g.add_argument("--mode", choices=CAMERA_MODES, default="orthogonal")
     g.add_argument("--noise", type=float, default=0.0)
     g.add_argument("--max-missing", dest="max_missing", type=int, default=0)
     g.add_argument("--seed", type=int, default=0)

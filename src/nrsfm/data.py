@@ -3,14 +3,10 @@
 On-disk contracts
 -----------------
 Scene files are a single self-describing text container: header comment
-lines (key=value), then record sections, each with a header row:
-
-    [measurements]  frame,point,u,v,visible
-    [shapes]        frame,point,x,y,z          (optional, ground truth)
-    [cameras]       frame,m11,m21,m31,m12,m22,m32,scale,t1,t2  (optional)
-    [normalization] frame,cx,cy,scale          (optional)
-
-Floats carry 17 significant digits so round trips are bit-exact.
+lines (key=value), then the record sections of SCENE_SECTIONS, each with
+its header row.  [measurements] is required; [shapes] (ground truth),
+[cameras] and [normalization] are optional.  Floats carry 17 significant
+digits so round trips are bit-exact.
 
 Checkpoints are a binary container: a UTF-8 JSON manifest line (version,
 config, step, tensor names/shapes), a blank line, then one little-endian
@@ -18,17 +14,27 @@ float64 blob per tensor in manifest order.
 """
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
-from .geometry import (CameraWeak, normalize_bbox, noise_perturb,
-                       project, random_camera)
+from .geometry import (CAMERA_MODES, normalize_bbox, noise_perturb, project,
+                       random_camera, visible_centroid)
 from .model import ModelParams, default_beta, default_gamma, width_schedule
 from .training import OptimizerState
 
 SCENE_MAGIC = "# nrsfm-scene v1"
 CHECKPOINT_MAGIC = "nrsfm-checkpoint v1"
+
+# Scene-file sections in file order: name -> (header row, number of key
+# columns).  Records are keyed by frame, or by frame and point, and each
+# section holds every key of its grid exactly once.
+SCENE_SECTIONS = {
+    "measurements": ("frame,point,u,v,visible", 2),
+    "shapes": ("frame,point,x,y,z", 2),
+    "cameras": ("frame,m11,m21,m31,m12,m22,m32,scale,t1,t2", 1),
+    "normalization": ("frame,cx,cy,scale", 1),
+}
 
 
 class SceneFormatError(ValueError):
@@ -82,21 +88,9 @@ class Scene:
     def is_normalized(self):
         return self.norm_centroids is not None
 
-    def gt_cameras(self):
-        if self.gt_rotations is None:
-            return None
-        F = self.frame_count
-        scales = self.gt_scales if self.gt_scales is not None else np.ones(F)
-        trans = self.gt_translations if self.gt_translations is not None else np.zeros((F, 2))
-        return [CameraWeak(self.gt_rotations[f], float(scales[f]), trans[f])
-                for f in range(F)]
-
     def copy(self):
-        def c(a):
-            return None if a is None else a.copy()
-        return Scene(self.measurements.copy(), self.visibility.copy(), self.mode,
-                     c(self.gt_shapes), c(self.gt_rotations), c(self.gt_scales),
-                     c(self.gt_translations), c(self.norm_centroids), c(self.norm_scales))
+        return replace(self, **{f.name: getattr(self, f.name).copy() for f in fields(self)
+                                if isinstance(getattr(self, f.name), np.ndarray)})
 
 
 @dataclass
@@ -120,7 +114,7 @@ class PlantedSpec:
             raise ValueError("need at least one frame and one point")
         if not (1 <= self.sparsity <= self.width_last):
             raise ValueError("sparsity must be in 1..width_last")
-        if self.camera_mode not in ("orthogonal", "weak_perspective"):
+        if self.camera_mode not in CAMERA_MODES:
             raise ValueError(f"unknown camera mode {self.camera_mode!r}")
 
     @property
@@ -150,7 +144,9 @@ def synth_planted(spec):
     """Sample a planted scene: non-negative sparse codes expanded through
     unit-norm hierarchical dictionaries, projected by random cameras.
 
-    Returns (scene with ground truth, generating ModelParams).
+    Returns (scene with ground truth, generating ModelParams).  The codes
+    are expanded linearly; soft thresholds at zero are the identity, so the
+    returned params decode a planted code to its planted shape.
     """
     rng = np.random.default_rng(spec.seed)
     widths = spec.widths
@@ -159,7 +155,7 @@ def synth_planted(spec):
         dicts,
         [np.zeros(k) for k in widths],
         [np.zeros(k) for k in widths[:-1]],
-        default_beta(3), default_gamma(widths[-1]),
+        default_beta(3), default_gamma(widths[-1]), activation="soft",
     )
     F, P = spec.frames, spec.points
     W = np.empty((F, P, 2))
@@ -215,81 +211,44 @@ def normalize_scene(scene, mode="bbox"):
     center: visible-centroid shift only
     none: identity (no records)
     """
-    if mode == "none":
-        return scene.copy()
     out = scene.copy()
-    F = scene.frame_count
-    centroids = np.zeros((F, 2))
-    scales = np.ones(F)
-    for f in range(F):
-        if mode == "bbox":
-            Wn, (c, s) = normalize_bbox(scene.measurements[f], scene.visibility[f])
-        elif mode == "center":
-            m = scene.visibility[f]
-            c = scene.measurements[f][m].mean(axis=0)
-            s = 1.0
-            Wn = np.where(m[:, None], scene.measurements[f] - c, 0.0)
-        else:
-            raise ValueError(f"unknown normalization mode {mode!r}")
-        out.measurements[f] = Wn
-        centroids[f] = c
-        scales[f] = s
-    out.norm_centroids = centroids
-    out.norm_scales = scales
+    W, vis = scene.measurements, scene.visibility
+    if mode == "bbox":
+        out.measurements, (out.norm_centroids, out.norm_scales) = normalize_bbox(W, vis)
+    elif mode == "center":
+        out.norm_centroids = visible_centroid(W, vis)
+        out.norm_scales = np.ones(scene.frame_count)
+        out.measurements = np.where(vis[..., None], W - out.norm_centroids[:, None], 0.0)
+    elif mode != "none":
+        raise ValueError(f"unknown normalization mode {mode!r}")
     return out
 
 
 # ---------------------------------------------------------------------------
 # scene IO
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def save_scene(scene, path):
-    lines = [SCENE_MAGIC,
-             f"# mode={scene.mode}",
-             f"# frames={scene.frame_count} points={scene.point_count}"]
-    lines.append("[measurements]")
-    lines.append("frame,point,u,v,visible")
     F, P = scene.frame_count, scene.point_count
-    W, vis = scene.measurements, scene.visibility
-    for f in range(F):
-        for p in range(P):
-            lines.append(f"{f},{p},{_fmt(W[f, p, 0])},{_fmt(W[f, p, 1])},{int(vis[f, p])}")
+    # each section's value columns, one row per record in key order
+    sections = {"measurements": np.column_stack([scene.measurements.reshape(F * P, 2),
+                                                 scene.visibility.reshape(F * P)])}
     if scene.gt_shapes is not None:
-        lines.append("[shapes]")
-        lines.append("frame,point,x,y,z")
-        S = scene.gt_shapes
-        for f in range(F):
-            for p in range(P):
-                lines.append(f"{f},{p},{_fmt(S[f, p, 0])},{_fmt(S[f, p, 1])},{_fmt(S[f, p, 2])}")
+        sections["shapes"] = scene.gt_shapes.reshape(F * P, 3)
     if scene.gt_rotations is not None:
-        lines.append("[cameras]")
-        lines.append("frame,m11,m21,m31,m12,m22,m32,scale,t1,t2")
         scales = scene.gt_scales if scene.gt_scales is not None else np.ones(F)
         trans = scene.gt_translations if scene.gt_translations is not None else np.zeros((F, 2))
-        for f in range(F):
-            M = scene.gt_rotations[f]
-            vals = [M[0, 0], M[1, 0], M[2, 0], M[0, 1], M[1, 1], M[2, 1],
-                    scales[f], trans[f, 0], trans[f, 1]]
-            lines.append(f"{f}," + ",".join(_fmt(v) for v in vals))
+        sections["cameras"] = np.column_stack(
+            [scene.gt_rotations.transpose(0, 2, 1).reshape(F, 6), scales, trans])
     if scene.norm_centroids is not None:
-        lines.append("[normalization]")
-        lines.append("frame,cx,cy,scale")
-        for f in range(F):
-            lines.append(f"{f},{_fmt(scene.norm_centroids[f, 0])},"
-                         f"{_fmt(scene.norm_centroids[f, 1])},{_fmt(scene.norm_scales[f])}")
+        sections["normalization"] = np.column_stack([scene.norm_centroids, scene.norm_scales])
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _parse_rows(section, rows, n_fields, lineno):
-    try:
-        return np.array([[float(v) for v in row.split(",")] for row in rows])
-    except ValueError as exc:
-        raise SceneFormatError(
-            f"[{section}] starting at line {lineno}: bad record ({exc})") from None
+        fh.write(f"{SCENE_MAGIC}\n# mode={scene.mode}\n# frames={F} points={P}\n")
+        for name, values in sections.items():
+            header, n_keys = SCENE_SECTIONS[name]
+            columns = [*np.indices((F, P)[:n_keys]).reshape(n_keys, -1), *values.T]
+            row = ",".join(["%d"] * n_keys + ["%.17g"] * values.shape[1]) + "\n"
+            fh.write(f"[{name}]\n{header}\n")
+            fh.writelines(map(row.__mod__, zip(*(c.tolist() for c in columns))))
 
 
 def load_scene(path):
@@ -313,6 +272,10 @@ def load_scene(path):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1]
+            if current not in SCENE_SECTIONS:
+                raise SceneFormatError(f"{path}:{i}: unknown section [{current}]")
+            if current in sections:
+                raise SceneFormatError(f"{path}:{i}: repeated section [{current}]")
             sections[current] = []
             start_line[current] = i + 2   # past the header row
             continue
@@ -328,37 +291,50 @@ def load_scene(path):
     if F < 1 or P < 1:
         raise SceneFormatError(f"{path}: frames and points must be positive")
     mode = header.get("mode", "orthogonal")
+    if mode not in CAMERA_MODES:
+        raise SceneFormatError(f"{path}: unknown mode {mode!r}")
 
-    def section_array(name, n_fields, grid):
-        """The section's records sorted by their (frame[, point]) key; each
-        key must be an in-range integer and appear exactly once."""
+    def section_array(name):
+        """The value columns of the section's records sorted by their
+        (frame[, point]) key; each key must be an in-range integer and
+        appear exactly once."""
+        header_row, n_keys = SCENE_SECTIONS[name]
+        grid = (F, P)[:n_keys]
         rows = sections[name]
         if not rows:
             raise SceneFormatError(f"{path}: empty section [{name}]")
-        body = rows[1:]   # skip header row
+        if rows[0] != header_row:
+            raise SceneFormatError(f"{path}: section [{name}] has header row "
+                                   f"{rows[0]!r}, expected {header_row!r}")
+        body = rows[1:]
         expected_rows = int(np.prod(grid))
         if len(body) != expected_rows:
             raise SceneFormatError(
                 f"{path}: section [{name}] has {len(body)} records, expected {expected_rows}")
-        arr = _parse_rows(name, body, n_fields, start_line[name])
+        try:
+            arr = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise SceneFormatError(f"{path}: [{name}] starting at line "
+                                   f"{start_line[name]}: bad record ({exc})") from None
+        n_fields = header_row.count(",") + 1
         if arr.shape[1] != n_fields:
             raise SceneFormatError(
                 f"{path}: section [{name}] records have {arr.shape[1]} fields, "
                 f"expected {n_fields}")
-        keys = arr[:, :len(grid)]
+        keys = arr[:, :n_keys]
         if not np.all((keys >= 0) & (keys < grid) & (keys == np.floor(keys))):
             raise SceneFormatError(f"{path}: section [{name}] has an index outside the grid")
         order = np.full(expected_rows, -1)
         order[np.ravel_multi_index(keys.astype(np.int64).T, grid)] = np.arange(expected_rows)
         if np.any(order < 0):
             raise SceneFormatError(f"{path}: section [{name}] repeats a record")
-        return arr[order]
+        return arr[order, n_keys:]
 
     if "measurements" not in sections:
         raise SceneFormatError(f"{path}: missing [measurements] section")
-    m = section_array("measurements", 5, (F, P))
-    W = m[:, 2:4].reshape(F, P, 2)
-    flags = m[:, 4].reshape(F, P)
+    m = section_array("measurements")
+    W = m[:, :2].reshape(F, P, 2)
+    flags = m[:, 2].reshape(F, P)
     if not np.all((flags == 0) | (flags == 1)):
         raise SceneFormatError(f"{path}: [measurements] visible must be 0 or 1")
     vis = flags.astype(bool)
@@ -366,20 +342,16 @@ def load_scene(path):
         raise SceneFormatError(f"{path}: [measurements] has a non-finite visible point")
     scene = Scene(W, vis, mode)
     if "shapes" in sections:
-        s = section_array("shapes", 5, (F, P))
-        scene.gt_shapes = s[:, 2:5].reshape(F, P, 3)
+        scene.gt_shapes = section_array("shapes").reshape(F, P, 3)
     if "cameras" in sections:
-        c = section_array("cameras", 10, (F,))
-        rot = np.empty((F, 3, 2))
-        rot[:, :, 0] = c[:, 1:4]
-        rot[:, :, 1] = c[:, 4:7]
-        scene.gt_rotations = rot
-        scene.gt_scales = c[:, 7].copy()
-        scene.gt_translations = c[:, 8:10].copy()
+        c = section_array("cameras")
+        scene.gt_rotations = np.ascontiguousarray(c[:, :6].reshape(F, 2, 3).transpose(0, 2, 1))
+        scene.gt_scales = c[:, 6].copy()
+        scene.gt_translations = c[:, 7:9].copy()
     if "normalization" in sections:
-        n = section_array("normalization", 4, (F,))
-        scene.norm_centroids = n[:, 1:3].copy()
-        scene.norm_scales = n[:, 3].copy()
+        n = section_array("normalization")
+        scene.norm_centroids = n[:, :2].copy()
+        scene.norm_scales = n[:, 2].copy()
     return scene
 
 

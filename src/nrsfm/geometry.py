@@ -7,6 +7,8 @@ import numpy as np
 # A camera whose second singular value is at or below this is rank-deficient.
 RANK_EPS = 1e-10
 
+CAMERA_MODES = ("orthogonal", "weak_perspective")
+
 
 @dataclass
 class CameraWeak:
@@ -87,23 +89,37 @@ def random_camera(seed, mode="orthogonal"):
     raise ValueError(f"random_camera: unknown mode {mode!r}")
 
 
+def _frame_label(bad):
+    """' at frame i' naming the first flagged frame of a batch; '' for one frame."""
+    return f" at frame {', '.join(map(str, np.argwhere(bad)[0]))}" if bad.ndim else ""
+
+
+def visible_centroid(W, mask):
+    """Centroid of the visible points of (..., P, 2) frames with (..., P)
+    masks: their sum divided by their count."""
+    return (np.where(mask[..., None], W, 0.0).sum(axis=-2)
+            / np.count_nonzero(mask, axis=-1)[..., None])
+
+
 def normalize_bbox(W, mask=None):
     """Shift visible points to zero centroid and divide by the larger
     bounding-box side, so max(width, height) = 1.  Invisible entries are
-    zeroed.  Returns (normalized W, (centroid, scale))."""
+    zeroed.  W is (..., P, 2) with (..., P) masks.  Returns (normalized W,
+    (centroid (..., 2), scale (...)))."""
     W = np.asarray(W, dtype=float)
-    if mask is None:
-        mask = np.ones(W.shape[0], dtype=bool)
-    mask = np.asarray(mask, dtype=bool).ravel()
-    vis = W[mask]
-    if vis.shape[0] < 2:
-        raise ValueError("normalize_bbox: need at least 2 visible points")
-    extent = vis.max(axis=0) - vis.min(axis=0)
-    scale = float(extent.max())
-    if scale <= 0:
-        raise ValueError("normalize_bbox: degenerate frame, visible points coincide")
-    centroid = vis.mean(axis=0)
-    Wn = np.where(mask[:, None], (W - centroid) / scale, 0.0)
+    mask = (np.ones(W.shape[:-1], dtype=bool) if mask is None
+            else np.asarray(mask, dtype=bool).reshape(W.shape[:-1]))
+    few = np.count_nonzero(mask, axis=-1) < 2
+    if np.any(few):
+        raise ValueError(f"normalize_bbox: need at least 2 visible points{_frame_label(few)}")
+    vis = mask[..., None]
+    extent = np.where(vis, W, -np.inf).max(axis=-2) - np.where(vis, W, np.inf).min(axis=-2)
+    scale = extent.max(axis=-1)
+    if np.any(scale <= 0):
+        raise ValueError("normalize_bbox: degenerate frame, visible points coincide"
+                         + _frame_label(scale <= 0))
+    centroid = visible_centroid(W, mask)
+    Wn = np.where(vis, (W - centroid[..., None, :]) / scale[..., None, None], 0.0)
     return Wn, (centroid, scale)
 
 
@@ -146,41 +162,46 @@ def orthonormalize_camera(Mraw):
 
 
 def procrustes_rotation(Sest, Sgt):
-    """Orthogonal matrix R (reflections permitted) minimizing ||Sest R - Sgt||_F."""
-    A = Sest.T @ Sgt
-    U, _, Vt = np.linalg.svd(A)
+    """Orthogonal matrix R (reflections permitted) minimizing ||Sest R - Sgt||_F,
+    per shape of any leading batch shape."""
+    U, _, Vt = np.linalg.svd(np.swapaxes(Sest, -1, -2) @ Sgt)
     return U @ Vt
 
 
+def _sq_norms(S):
+    """Squared Frobenius norm of each (P, 3) shape of an (F, P, 3) stack, as
+    BLAS dot products (np.linalg.norm of one shape takes the same dot)."""
+    d = S.reshape(len(S), -1)
+    return (d[:, None, :] @ d[:, :, None]).ravel()
+
+
 def align_shapes(Sest, Sgt, allow_scale=False):
-    """Align an estimated shape to ground truth by orthogonal Procrustes,
-    optionally with an optimal global scale."""
+    """Align estimated shapes (..., P, 3) to ground truth by orthogonal
+    Procrustes, optionally with an optimal global scale per shape."""
     Sest = np.asarray(Sest, dtype=float)
     Sgt = np.asarray(Sgt, dtype=float)
     if Sest.shape != Sgt.shape:
         raise ValueError("align_shapes: shapes must have matching size")
-    R = procrustes_rotation(Sest, Sgt)
-    aligned = Sest @ R
+    aligned = Sest @ procrustes_rotation(Sest, Sgt)
     if allow_scale:
-        denom = np.sum(aligned * aligned)
-        if denom > 0:
-            aligned = aligned * (np.sum(aligned * Sgt) / denom)
+        denom = np.sum(aligned * aligned, axis=(-2, -1), keepdims=True)
+        num = np.sum(aligned * Sgt, axis=(-2, -1), keepdims=True)
+        aligned = aligned * np.divide(num, denom, out=np.ones_like(denom), where=denom > 0)
     return aligned
 
 
 def frame_3d_errors(estimates, truths, allow_scale=False, align=True):
-    """Per frame ||align(S_est) - S_gt||_F / ||S_gt||_F, as an array."""
-    if len(estimates) != len(truths):
+    """Per frame ||align(S_est) - S_gt||_F / ||S_gt||_F of (F, P, 3) stacks,
+    as an array."""
+    Sest = np.asarray(estimates, dtype=float)
+    Sgt = np.asarray(truths, dtype=float)
+    if len(Sest) != len(Sgt):
         raise ValueError("3D error: frame counts differ")
-    errs = np.empty(len(truths))
-    for f, (Sest, Sgt) in enumerate(zip(estimates, truths)):
-        Sgt = np.asarray(Sgt, dtype=float)
-        denom = np.linalg.norm(Sgt)
-        if denom == 0:
-            raise ValueError("3D error: zero-norm ground-truth frame")
-        Sa = align_shapes(Sest, Sgt, allow_scale=allow_scale) if align else np.asarray(Sest, dtype=float)
-        errs[f] = np.linalg.norm(Sa - Sgt) / denom
-    return errs
+    denom = np.sqrt(_sq_norms(Sgt))
+    if np.any(denom == 0):
+        raise ValueError("3D error: zero-norm ground-truth frame")
+    Sa = align_shapes(Sest, Sgt, allow_scale=allow_scale) if align else Sest
+    return np.sqrt(_sq_norms(Sa - Sgt)) / denom
 
 
 def normalized_3d_error(estimates, truths, allow_scale=False, align=True):

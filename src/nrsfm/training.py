@@ -173,6 +173,17 @@ def scene_forward(scene, params):
     return mdl.forward_batch(scene.measurements, scene.visibility, params)
 
 
+def _valid_frame_error(scene, valid, cache, allow_scale):
+    """Mean 3D error of the forward pass's de-normalized shapes against the
+    scene's ground truth over the frames with a valid camera; None when no
+    frame is valid."""
+    idx = np.flatnonzero(valid)
+    if idx.size == 0:
+        return None
+    shapes = cache["S"][idx] * _denorm_scales(scene)[idx, None, None]
+    return normalized_3d_error(shapes, scene.gt_shapes[idx], allow_scale=allow_scale)
+
+
 def scene_error(scene, params, allow_scale=None):
     """Normalized mean 3D error of the model's reconstructions against the
     scene's ground truth, after de-normalization.  Invalid frames are
@@ -182,25 +193,18 @@ def scene_error(scene, params, allow_scale=None):
     if allow_scale is None:
         allow_scale = scene.mode == "weak_perspective"
     _, valid, cache = scene_forward(scene, params)
-    shapes = cache["S"] * _denorm_scales(scene)[:, None, None]
-    idx = np.flatnonzero(valid)
-    if idx.size == 0:
+    error = _valid_frame_error(scene, valid, cache, allow_scale)
+    if error is None:
         raise ValueError("no valid frames to evaluate")
-    return normalized_3d_error(shapes[idx], scene.gt_shapes[idx],
-                               allow_scale=allow_scale)
+    return error
 
 
 def _evaluate(scene, params, allow_scale):
     losses, valid, cache = scene_forward(scene, params)
-    n_valid = int(np.count_nonzero(valid))
-    mean_loss = float(losses[valid].mean()) if n_valid else float("nan")
+    mean_loss = float(losses[valid].mean()) if np.any(valid) else float("nan")
     coherence = mutual_coherence(last_dictionary_atoms(params))
-    error3d = None
-    if scene.gt_shapes is not None and n_valid:
-        shapes = cache["S"] * _denorm_scales(scene)[:, None, None]
-        idx = np.flatnonzero(valid)
-        error3d = normalized_3d_error(shapes[idx], scene.gt_shapes[idx],
-                                      allow_scale=allow_scale)
+    error3d = (None if scene.gt_shapes is None
+               else _valid_frame_error(scene, valid, cache, allow_scale))
     return mean_loss, coherence, error3d
 
 
@@ -234,7 +238,8 @@ def train(scene, config, init=None, verbose=True):
     error every eval_interval steps.  Deterministic given (scene, config,
     seed).  Pass init=(params, opt_state, start_step, skipped) to resume;
     the params must have the layers, widths, activation and block rows of
-    the config.  Returns a TrainResult."""
+    the config, and start_step must not pass config.total_steps.  Returns a
+    TrainResult."""
     if scene.frame_count == 0:
         raise ValueError("empty scene")
     if config.normalize != "none" and not scene.is_normalized:
@@ -252,6 +257,9 @@ def train(scene, config, init=None, verbose=True):
         if have != want:
             raise ValueError("resume: checkpoint has (layers, widths, activation, block "
                              f"rows) {have} but the config asks for {want}")
+        if start_step > config.total_steps:
+            raise ValueError(f"resume: checkpoint is at step {start_step}, past "
+                             f"total_steps {config.total_steps}")
         params = params.copy()
 
     history = TrainHistory()
@@ -291,10 +299,7 @@ def reconstruct(scene, params):
         bad = int(np.flatnonzero(~valid)[0])
         raise mdl.CameraRankError(f"rank-deficient camera at frame {bad}")
     scales = _denorm_scales(scene)
-    centroids = (scene.norm_centroids if scene.norm_centroids is not None
-                 else np.zeros((scene.frame_count, 2)))
-    out = []
-    for f in range(scene.frame_count):
-        t = centroids[f] + scales[f] * cache["t_hat"][f]
-        out.append((cache["S"][f] * scales[f], CameraWeak(cache["Q"][f], 1.0, t)))
-    return out
+    shapes = cache["S"] * scales[:, None, None]
+    centroids = 0.0 if scene.norm_centroids is None else scene.norm_centroids
+    t = centroids + scales[:, None] * cache["t_hat"]
+    return [(S, CameraWeak(Q, 1.0, tf)) for S, Q, tf in zip(shapes, cache["Q"], t)]

@@ -206,3 +206,17 @@ def test_train_resume_rejects_mismatched_checkpoint(tmp_path, capsys):
     assert not os.path.exists(ck2)
     assert not os.path.exists(h2)
     assert _run(resume) == 0
+
+
+def test_train_resume_past_total_steps_fails_cleanly(tmp_path, capsys):
+    scene = _make_scene(tmp_path)
+    ck, h = str(tmp_path / "p.ck"), str(tmp_path / "p.csv")
+    assert _run(["train", scene, "--checkpoint", ck, "--history", h]
+                + _TRAIN_FLAGS) == 0
+    ck2, h2 = str(tmp_path / "p2.ck"), str(tmp_path / "p2.csv")
+    capsys.readouterr()
+    assert _run(["train", scene, "--checkpoint", ck2, "--history", h2,
+                 "--resume", ck] + _TRAIN_FLAGS + ["--total-steps", "40"]) == 1
+    assert capsys.readouterr().err.startswith("error: resume:")
+    assert not os.path.exists(ck2)
+    assert not os.path.exists(h2)

@@ -9,6 +9,7 @@ from nrsfm.data import (CheckpointError, PlantedSpec, Scene, SceneFormatError,
                         load_checkpoint, load_scene, make_missing,
                         normalize_scene, save_checkpoint, save_scene,
                         synth_planted)
+from nrsfm.model import decode
 from nrsfm.training import OptimizerState, TrainConfig, init_params
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "sample_scene.txt")
@@ -65,6 +66,21 @@ def test_planted_shapes_match_straight_line_expansion():
             z, *_ = np.linalg.lstsq(sub, target, rcond=None)
             best = min(best, np.linalg.norm(target - sub @ z))
         assert best < 1e-10
+
+
+def test_planted_params_decode_planted_codes():
+    # the returned params generate the scene: decoding a 1-sparse code gives
+    # the straight-line expansion of its atom through the dictionaries
+    for layers in (2, 3):
+        _, params = synth_planted(PlantedSpec(points=31, frames=1, layers=layers,
+                                              width_first=32, width_last=8, seed=7))
+        D1 = params.dictionaries[0].reshape(31, 32, 3)
+        for k in range(8):
+            phi = np.eye(8)[k]
+            for D in params.dictionaries[:0:-1]:
+                phi = D @ phi
+            expanded = np.einsum("pkc,k->pc", D1, phi)
+            assert np.max(np.abs(decode(np.eye(8)[k], params) - expanded)) < 1e-12
 
 
 def test_planted_determinism():
@@ -205,6 +221,17 @@ def test_scene_load_errors(tmp_path):
     for value in ("2", "0.5", "-1"):
         with pytest.raises(SceneFormatError, match="visible"):
             load_scene(edited("flag.txt", "measurements", 0, 4, value))
+    # the file structure: sections, header rows and the camera mode
+    body = good.read_text()
+    shapes = body[body.index("[shapes]"):body.index("[cameras]")]
+    for text, match in ((body + shapes, "repeated section"),
+                        (body.replace("[shapes]", "[shape]"), "unknown section"),
+                        (body.replace("frame,point,u,v,visible", "frame,point,v,u,visible"),
+                         "header row"),
+                        (body.replace("mode=orthogonal", "mode=perspectiv"), "unknown mode")):
+        (tmp_path / "structure.txt").write_text(text)
+        with pytest.raises(SceneFormatError, match=match):
+            load_scene(tmp_path / "structure.txt")
 
 
 def test_shipped_sample_scene_loads():
@@ -212,6 +239,40 @@ def test_shipped_sample_scene_loads():
     assert scene.frame_count == 4
     assert scene.point_count == 31
     assert scene.has_ground_truth
+
+
+def test_resaving_sample_scene_reproduces_its_bytes(tmp_path):
+    save_scene(load_scene(FIXTURE), tmp_path / "again.txt")
+    with open(FIXTURE, "rb") as fh:
+        assert (tmp_path / "again.txt").read_bytes() == fh.read()
+
+
+def test_normalized_scene_resaves_byte_for_byte(tmp_path):
+    scene, _ = synth_planted(PlantedSpec(points=7, frames=5, seed=10,
+                                         width_first=6, width_last=3,
+                                         camera_mode="weak_perspective",
+                                         max_missing=2))
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    save_scene(normalize_scene(scene, "bbox"), first)
+    save_scene(load_scene(first), second)
+    assert "[normalization]" in first.read_text()
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_normalize_scene_matches_per_frame_loop():
+    scene, _ = synth_planted(PlantedSpec(points=9, frames=40, seed=15,
+                                         width_first=6, width_last=3,
+                                         camera_mode="weak_perspective",
+                                         max_missing=4))
+    nb, nc = normalize_scene(scene, "bbox"), normalize_scene(scene, "center")
+    for f in range(40):
+        W, m = scene.measurements[f], scene.visibility[f]
+        c = W[m].mean(axis=0)
+        s = (W[m].max(axis=0) - W[m].min(axis=0)).max()
+        assert np.array_equal(nb.measurements[f], np.where(m[:, None], (W - c) / s, 0.0))
+        assert np.array_equal(nb.norm_centroids[f], c) and nb.norm_scales[f] == s
+        assert np.array_equal(nc.measurements[f], np.where(m[:, None], W - c, 0.0))
+        assert np.array_equal(nc.norm_centroids[f], c) and nc.norm_scales[f] == 1.0
 
 
 def test_normalize_scene_bbox_and_center():

@@ -98,6 +98,15 @@ def test_normalize_bbox_degenerate():
     W = np.ones((4, 2))
     with pytest.raises(ValueError):
         normalize_bbox(W)
+    # in a batch, the message names the first failing frame
+    batch = np.random.default_rng(6).standard_normal((4, 5, 2))
+    batch[2] = 1.0
+    with pytest.raises(ValueError, match="coincide at frame 2"):
+        normalize_bbox(batch)
+    mask = np.ones((4, 5), dtype=bool)
+    mask[1, 1:] = False
+    with pytest.raises(ValueError, match="2 visible points at frame 1"):
+        normalize_bbox(batch, mask)
 
 
 def test_translation_residual():
@@ -192,12 +201,20 @@ def test_frame_3d_errors_one_per_frame():
     rng = np.random.default_rng(17)
     S = rng.standard_normal((5, 6, 3))
     est = S + 0.1 * rng.standard_normal(S.shape)
+    est[3] = 0.0
     for allow_scale in (False, True):
         errs = frame_3d_errors(est, S, allow_scale=allow_scale)
         assert errs.shape == (5,)
+        assert errs[3] == 1.0
         for f in range(5):
             assert errs[f] == normalized_3d_error(est[f:f + 1], S[f:f + 1],
                                                   allow_scale=allow_scale)
+            # the same arithmetic as a loop over single frames
+            U, _, Vt = np.linalg.svd(est[f].T @ S[f])
+            aligned = est[f] @ (U @ Vt)
+            if allow_scale and np.sum(aligned * aligned) > 0:
+                aligned = aligned * (np.sum(aligned * S[f]) / np.sum(aligned * aligned))
+            assert errs[f] == np.linalg.norm(aligned - S[f]) / np.linalg.norm(S[f])
         assert normalized_3d_error(est, S, allow_scale=allow_scale) == np.mean(errs)
 
 

@@ -242,6 +242,17 @@ def test_train_resume_rejects_other_structure():
                   verbose=False)
 
 
+def test_train_resume_rejects_step_past_total():
+    scene = _tiny_scene()
+    half = train(scene, _small_config(total_steps=4), verbose=False)
+    init = (half.params, half.opt_state, 4, half.skipped)
+    with pytest.raises(ValueError, match="resume: checkpoint is at step 4"):
+        train(scene, _small_config(total_steps=3), init=init, verbose=False)
+    # resuming at exactly total_steps has nothing left to do
+    assert train(scene, _small_config(total_steps=4), init=init,
+                 verbose=False).history.records == []
+
+
 def test_last_dictionary_atoms_single_layer():
     cfg = TrainConfig(layers=1, width_first=5, width_last=5, total_steps=1)
     params = init_params(cfg, 6)
