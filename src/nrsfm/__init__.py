@@ -1,7 +1,7 @@
 """Non-rigid structure from motion via hierarchical block-sparse coding."""
 
 from .sparse import (
-    soft_threshold, relu_threshold, ista, group_prox, block_threshold,
+    soft_threshold, ista, group_prox, block_threshold,
     block_ista_step, block_sparsity,
 )
 from .geometry import (

@@ -9,23 +9,42 @@ outputs are removed.
 import argparse
 import os
 import sys
-from dataclasses import fields
+from contextlib import suppress
+from dataclasses import astuple, fields
 
 import numpy as np
 
-from .data import (PlantedSpec, load_checkpoint, load_scene, make_missing,
-                   normalize_scene, save_checkpoint, save_scene,
-                   synth_planted)
-from .geometry import CAMERA_MODES, frame_3d_errors, mutual_coherence
+from .data import (PlantedSpec, load_checkpoint, load_scene, normalize_scene,
+                   save_checkpoint, save_scene, synth_planted)
+from .geometry import frame_3d_errors, mutual_coherence
 from .model import CameraRankError
-from .training import (OptimizerState, TrainConfig, last_dictionary_atoms,
-                       reconstruct, train)
+from .training import (HistoryRecord, OptimizerState, TrainConfig,
+                       last_dictionary_atoms, reconstruct, train)
 
 _CONFIG_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
 
 
+def _add_field_flags(sub, schema, **names):
+    """One --field-name flag per field of the dataclass schema (names maps a
+    field to another flag name): a bool field is a switch, a "choices" entry
+    in a field's metadata limits its values, and an unset flag stays None."""
+    for f in fields(schema):
+        flag = "--" + names.get(f.name, f.name).replace("_", "-")
+        if f.type is bool:
+            sub.add_argument(flag, dest=f.name, action="store_const", const=True)
+        else:
+            sub.add_argument(flag, dest=f.name, type=f.type,
+                             choices=f.metadata.get("choices"))
+
+
+def _given_fields(args, schema):
+    """The schema's fields whose flags were given, by field name."""
+    return {f.name: v for f in fields(schema) if (v := getattr(args, f.name)) is not None}
+
+
 def _parse_config_file(path):
-    """key=value lines; '#' starts a comment; keys must be TrainConfig fields."""
+    """key=value lines; '#' starts a comment; keys must be TrainConfig fields.
+    Returns the values as their fields' types."""
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -37,15 +56,13 @@ def _parse_config_file(path):
             key, value = (tok.strip() for tok in line.split("=", 1))
             if key not in _CONFIG_FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = value
+            out[key] = _coerce(key, value)
     return out
 
 
 def _coerce(key, value):
     kind = _CONFIG_FIELDS[key]
     if kind is bool:
-        if isinstance(value, bool):
-            return value
         if value.lower() in ("1", "true", "yes"):
             return True
         if value.lower() in ("0", "false", "no"):
@@ -56,46 +73,24 @@ def _coerce(key, value):
 
 def _build_config(args):
     """Merge TrainConfig defaults < config file < explicit flags."""
-    merged = {}
-    if args.config:
-        for key, value in _parse_config_file(args.config).items():
-            merged[key] = _coerce(key, value)
-    for key in _CONFIG_FIELDS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = _coerce(key, flag)
+    merged = _parse_config_file(args.config) if args.config else {}
+    merged.update(_given_fields(args, TrainConfig))
     return TrainConfig(**merged), merged
 
 
-class _Artifacts:
-    """Tracks output paths so a failed command can clean up after itself."""
-
-    def __init__(self):
-        self.paths = []
-
-    def add(self, path):
-        self.paths.append(path)
-        return path
-
-    def remove_all(self):
-        for path in self.paths:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+def _csv_cell(value):
+    """'' for None, 17 significant digits for a float, str otherwise."""
+    if value is None:
+        return ""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def cmd_generate(args, artifacts):
-    spec = PlantedSpec(points=args.points, frames=args.frames,
-                       layers=args.layers, width_first=args.width_first,
-                       width_last=args.width_last, sparsity=args.sparsity,
-                       camera_mode=args.mode, noise_ratio=args.noise,
-                       max_missing=args.max_missing, seed=args.seed)
-    scene, params = synth_planted(spec)
-    artifacts.add(args.out)
+    scene, params = synth_planted(PlantedSpec(**_given_fields(args, PlantedSpec)))
+    artifacts.append(args.out)
     save_scene(scene, args.out)
     params_out = args.params_out or args.out + ".params"
-    artifacts.add(params_out)
+    artifacts.append(params_out)
     save_checkpoint(params_out, params)
     print(f"wrote {args.out} ({scene.frame_count} frames, "
           f"{scene.point_count} points, mode={scene.mode}) and {params_out}")
@@ -118,7 +113,7 @@ def cmd_train(args, artifacts):
 
     result = train(scene_n, config, init=init, verbose=not args.quiet)
 
-    artifacts.add(args.checkpoint)
+    artifacts.append(args.checkpoint)
     save_checkpoint(args.checkpoint, result.params, config=config,
                     opt_state=result.opt_state, step=config.total_steps,
                     skipped=result.skipped)
@@ -126,12 +121,9 @@ def cmd_train(args, artifacts):
     lines = [f"# scene={args.scene}"]
     for key in sorted(merged):
         lines.append(f"# {key}={merged[key]}")
-    lines.append("step,mean_loss,coherence,error3d,skipped")
-    for rec in result.history.records:
-        err = "" if rec.error3d is None else format(rec.error3d, ".17g")
-        lines.append(f"{rec.step},{format(rec.mean_loss, '.17g')},"
-                     f"{format(rec.coherence, '.17g')},{err},{rec.skipped}")
-    artifacts.add(args.history)
+    lines.append(",".join(f.name for f in fields(HistoryRecord)))
+    lines += [",".join(map(_csv_cell, astuple(rec))) for rec in result.history.records]
+    artifacts.append(args.history)
     with open(args.history, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {args.checkpoint} and {args.history}")
@@ -145,7 +137,7 @@ def cmd_reconstruct(args, artifacts):
         raise ValueError(
             f"checkpoint expects {params.point_count} points, "
             f"scene has {scene.point_count}")
-    normalize = (config or {}).get("normalize", "bbox")
+    normalize = (config or {}).get("normalize", TrainConfig.normalize)
     scene_n = normalize_scene(scene, normalize)
     pairs = reconstruct(scene_n, params)
 
@@ -156,7 +148,7 @@ def cmd_reconstruct(args, artifacts):
     out.gt_translations = np.stack([cam.translation for _, cam in pairs])
     out.norm_centroids = None
     out.norm_scales = None
-    artifacts.add(args.out)
+    artifacts.append(args.out)
     save_scene(out, args.out)
     print(f"wrote {args.out} ({out.frame_count} frames)")
     return 0
@@ -185,33 +177,14 @@ def cmd_evaluate(args, artifacts):
     if args.cumulative:
         errs = np.sort(errs)
         F = len(errs)
-        lines = ["threshold,fraction",
-                 f"0,{format(np.count_nonzero(errs <= 0) / F, '.17g')}"]
-        for i, e in enumerate(errs):
-            lines.append(f"{format(e, '.17g')},{format((i + 1) / F, '.17g')}")
-        artifacts.add(args.cumulative)
+        rows = [(0, np.count_nonzero(errs <= 0) / F)]
+        rows += [(e, (i + 1) / F) for i, e in enumerate(errs)]
+        lines = ["threshold,fraction"] + [",".join(map(_csv_cell, row)) for row in rows]
+        artifacts.append(args.cumulative)
         with open(args.cumulative, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         print(f"wrote {args.cumulative}")
     return 0
-
-
-def _add_train_config_flags(sub):
-    sub.add_argument("--config", help="key=value config file (flags override)")
-    sub.add_argument("--layers", type=int)
-    sub.add_argument("--width-first", dest="width_first", type=int)
-    sub.add_argument("--width-last", dest="width_last", type=int)
-    sub.add_argument("--activation", choices=["relu", "soft"])
-    sub.add_argument("--translation", action="store_const", const=True,
-                     default=None)
-    sub.add_argument("--batch-size", dest="batch_size", type=int)
-    sub.add_argument("--total-steps", dest="total_steps", type=int)
-    sub.add_argument("--base-lr", dest="base_lr", type=float)
-    sub.add_argument("--decay-factor", dest="decay_factor", type=float)
-    sub.add_argument("--decay-steps", dest="decay_steps", type=int)
-    sub.add_argument("--eval-interval", dest="eval_interval", type=int)
-    sub.add_argument("--normalize", choices=["bbox", "center", "none"])
-    sub.add_argument("--seed", type=int)
 
 
 def build_parser():
@@ -222,34 +195,30 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     g = subs.add_parser("generate", help="write a synthetic planted scene")
-    g.add_argument("--points", type=int, default=31)
-    g.add_argument("--frames", type=int, default=200)
-    g.add_argument("--layers", type=int, default=2)
-    g.add_argument("--width-first", dest="width_first", type=int, default=32)
-    g.add_argument("--width-last", dest="width_last", type=int, default=8)
-    g.add_argument("--sparsity", type=int, default=2)
-    g.add_argument("--mode", choices=CAMERA_MODES, default="orthogonal")
-    g.add_argument("--noise", type=float, default=0.0)
-    g.add_argument("--max-missing", dest="max_missing", type=int, default=0)
-    g.add_argument("--seed", type=int, default=0)
+    g.set_defaults(run=cmd_generate)
+    _add_field_flags(g, PlantedSpec, camera_mode="mode", noise_ratio="noise")
     g.add_argument("--out", required=True, help="scene file to write")
     g.add_argument("--params-out", dest="params_out",
                    help="ground-truth params checkpoint (default OUT.params)")
 
     t = subs.add_parser("train", help="train a model on a scene")
+    t.set_defaults(run=cmd_train)
     t.add_argument("scene", help="input scene file")
     t.add_argument("--checkpoint", required=True, help="checkpoint to write")
     t.add_argument("--history", required=True, help="history CSV to write")
     t.add_argument("--resume", help="checkpoint to resume from")
     t.add_argument("--quiet", action="store_true")
-    _add_train_config_flags(t)
+    t.add_argument("--config", help="key=value config file (flags override)")
+    _add_field_flags(t, TrainConfig)
 
     r = subs.add_parser("reconstruct", help="infer shapes/cameras for a scene")
+    r.set_defaults(run=cmd_reconstruct)
     r.add_argument("scene", help="input scene file")
     r.add_argument("checkpoint", help="trained checkpoint")
     r.add_argument("--out", required=True, help="scene file with shapes/cameras")
 
     e = subs.add_parser("evaluate", help="report reconstruction metrics")
+    e.set_defaults(run=cmd_evaluate)
     e.add_argument("estimates", nargs="?", help="scene file with estimated shapes")
     e.add_argument("truth", nargs="?", help="scene file with ground-truth shapes")
     e.add_argument("--cumulative", help="write (threshold, fraction) CSV here")
@@ -258,21 +227,15 @@ def build_parser():
     return parser
 
 
-_COMMANDS = {
-    "generate": cmd_generate,
-    "train": cmd_train,
-    "reconstruct": cmd_reconstruct,
-    "evaluate": cmd_evaluate,
-}
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    artifacts = _Artifacts()
+    artifacts = []  # paths written so far, removed if the command fails
     try:
-        return _COMMANDS[args.command](args, artifacts)
+        return args.run(args, artifacts)
     except (ValueError, OSError, FloatingPointError, CameraRankError) as exc:
-        artifacts.remove_all()
+        for path in artifacts:
+            with suppress(OSError):
+                os.remove(path)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

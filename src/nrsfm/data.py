@@ -14,7 +14,7 @@ float64 blob per tensor in manifest order.
 """
 
 import json
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import dataclass, asdict, field, fields, replace
 
 import numpy as np
 
@@ -104,18 +104,21 @@ class PlantedSpec:
     width_first: int = 32
     width_last: int = 8
     sparsity: int = 2
-    camera_mode: str = "orthogonal"
+    camera_mode: str = field(default="orthogonal", metadata={"choices": CAMERA_MODES})
     noise_ratio: float = 0.0
     max_missing: int = 0
     seed: int = 0
 
     def __post_init__(self):
-        if self.frames < 1 or self.points < 1:
-            raise ValueError("need at least one frame and one point")
+        if self.frames < 1 or self.points < 2:
+            raise ValueError("need at least one frame and two points")
+        width_schedule(self.width_first, self.width_last, self.layers)
         if not (1 <= self.sparsity <= self.width_last):
             raise ValueError("sparsity must be in 1..width_last")
         if self.camera_mode not in CAMERA_MODES:
             raise ValueError(f"unknown camera mode {self.camera_mode!r}")
+        if not (self.noise_ratio >= 0 and self.max_missing >= 0):
+            raise ValueError("noise ratio and max missing must be non-negative")
 
     @property
     def widths(self):

@@ -8,6 +8,7 @@ import numpy as np
 RANK_EPS = 1e-10
 
 CAMERA_MODES = ("orthogonal", "weak_perspective")
+NORMALIZE_MODES = ("bbox", "center", "none")  # see data.normalize_scene
 
 
 @dataclass
@@ -96,9 +97,11 @@ def _frame_label(bad):
 
 def visible_centroid(W, mask):
     """Centroid of the visible points of (..., P, 2) frames with (..., P)
-    masks: their sum divided by their count."""
-    return (np.where(mask[..., None], W, 0.0).sum(axis=-2)
-            / np.count_nonzero(mask, axis=-1)[..., None])
+    masks: their sum divided by their count, which must not be 0."""
+    count = np.count_nonzero(mask, axis=-1)
+    if np.any(count == 0):
+        raise ValueError(f"visible_centroid: no visible point{_frame_label(count == 0)}")
+    return np.where(mask[..., None], W, 0.0).sum(axis=-2) / count[..., None]
 
 
 def normalize_bbox(W, mask=None):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CameraWeak, polar_factor
-from .sparse import active_mask, threshold
+from .sparse import ACTIVATIONS, active_mask, threshold
 
 LOSS_SMOOTHING = 1e-12
 HOMOGENEOUS_EPS = 1e-6
@@ -51,7 +51,7 @@ class ModelParams:
     block_rows: int = 3
 
     def __post_init__(self):
-        if self.activation not in ("relu", "soft"):
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.block_rows not in (3, 4):
             raise ValueError("block_rows must be 3 or 4")
@@ -106,6 +106,10 @@ class ModelParams:
 
 def width_schedule(first, last, layers):
     """Layer widths K_1..K_N interpolated linearly from first to last."""
+    if layers < 1:
+        raise ValueError("need at least one layer")
+    if not (first >= last >= 1):
+        raise ValueError("widths must satisfy K1 >= K_N >= 1")
     return [int(round(k)) for k in np.linspace(first, last, layers)]
 
 

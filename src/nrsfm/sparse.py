@@ -7,6 +7,8 @@ is carried along).
 
 import numpy as np
 
+ACTIVATIONS = ("relu", "soft")
+
 
 def threshold(x, b, activation):
     """The thresholding kernel, unvalidated: "relu" gives max(x - b, 0),
@@ -37,11 +39,6 @@ def soft_threshold(x, b):
     b must be non-negative and broadcastable to x.
     """
     return threshold(np.asarray(x, dtype=float), _nonneg(b, "soft_threshold"), "soft")
-
-
-def relu_threshold(x, b):
-    """One-sided variant: max(x - b, 0)."""
-    return threshold(np.asarray(x, dtype=float), _nonneg(b, "relu_threshold"), "relu")
 
 
 def ista(x, D, alpha, tau, iters):
@@ -104,7 +101,7 @@ def block_threshold(V, b, mode="soft"):
             f"block_threshold: {b.shape[0]} thresholds for {V.shape[0]} blocks"
         )
     b = _nonneg(b, "block_threshold")
-    if mode not in ("soft", "relu"):
+    if mode not in ACTIVATIONS:
         raise ValueError(f"block_threshold: unknown mode {mode!r}")
     return threshold(V, b[:, None, None], mode)
 

@@ -6,7 +6,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as mdl
-from .geometry import CameraWeak, mutual_coherence, normalized_3d_error
+from .geometry import (NORMALIZE_MODES, CameraWeak, mutual_coherence,
+                       normalized_3d_error)
+from .sparse import ACTIVATIONS
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -18,7 +20,7 @@ class TrainConfig:
     layers: int = 2
     width_first: int = 32
     width_last: int = 8
-    activation: str = "relu"
+    activation: str = field(default="relu", metadata={"choices": ACTIVATIONS})
     translation: bool = False
     batch_size: int = 64
     total_steps: int = 10000
@@ -27,22 +29,25 @@ class TrainConfig:
     decay_steps: int = 4000
     seed: int = 0
     eval_interval: int = 500
-    normalize: str = "bbox"
+    normalize: str = field(default="bbox", metadata={"choices": NORMALIZE_MODES})
 
     def __post_init__(self):
-        if self.layers < 1:
-            raise ValueError("need at least one layer")
-        if not (self.width_first >= self.width_last >= 1):
-            raise ValueError("widths must satisfy K1 >= K_N >= 1")
+        mdl.width_schedule(self.width_first, self.width_last, self.layers)
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if self.base_lr <= 0:
+        if not self.base_lr > 0:
             raise ValueError("learning rate must be positive")
+        if not 0 < self.decay_factor <= 1:
+            raise ValueError("decay factor must be in (0, 1]")
+        if self.decay_steps < 1:
+            raise ValueError("decay steps must be >= 1")
         if self.total_steps < 1:
             raise ValueError("need at least one step")
         if self.eval_interval < 1:
             raise ValueError("eval interval must be >= 1")
-        if self.normalize not in ("bbox", "center", "none"):
+        if self.normalize not in NORMALIZE_MODES:
             raise ValueError(f"unknown normalize mode {self.normalize!r}")
 
     @property

@@ -1,11 +1,14 @@
+import argparse
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from nrsfm.cli import main
-from nrsfm.data import load_checkpoint, load_scene
+from nrsfm.cli import build_parser, main
+from nrsfm.data import PlantedSpec, load_checkpoint, load_scene
 from nrsfm.geometry import normalized_3d_error
+from nrsfm.training import HistoryRecord, TrainConfig
 
 
 def _run(argv):
@@ -46,6 +49,45 @@ def test_generate_invalid_spec_fails(tmp_path):
     assert not os.path.exists(out)
 
 
+def test_generate_zero_layers_fails_cleanly(tmp_path, capsys):
+    out = str(tmp_path / "scene.txt")
+    assert _run(["generate", "--layers", "0", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not os.path.exists(out)
+    assert not os.path.exists(out + ".params")
+
+
+def _subparser_options(command):
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return [a for a in subs.choices[command]._actions
+            if a.option_strings and a.dest != "help"]
+
+
+@pytest.mark.parametrize("command, schema, io_flags, renamed", [
+    ("train", TrainConfig, ["checkpoint", "history", "resume", "quiet", "config"], {}),
+    ("generate", PlantedSpec, ["out", "params_out"],
+     {"camera_mode": "--mode", "noise_ratio": "--noise"}),
+])
+def test_flags_are_derived_from_schema_fields(command, schema, io_flags, renamed):
+    options = _subparser_options(command)
+    # exactly one option per field, besides the fixed IO flags
+    assert sorted(a.dest for a in options) == sorted([f.name for f in fields(schema)]
+                                                     + io_flags)
+    by_dest = {a.dest: a for a in options}
+    for f in fields(schema):
+        assert isinstance(f.type, type)  # not a postponed-annotation string
+        action = by_dest[f.name]
+        flag = renamed.get(f.name, "--" + f.name.replace("_", "-"))
+        assert action.option_strings == [flag]
+        assert action.default is None  # the schema's default applies
+        if f.type is bool:
+            assert action.const is True and action.nargs == 0
+        else:
+            assert action.type is f.type
+            assert action.choices == f.metadata.get("choices")
+
+
 def _make_scene(tmp_path, frames=16):
     out = str(tmp_path / "scene.txt")
     assert _run(["generate", "--points", "8", "--frames", str(frames),
@@ -71,6 +113,7 @@ def test_train_history_and_determinism(tmp_path):
     rows = [l for l in body1.splitlines() if l and not l.startswith("#")]
     # header + records at steps 0, 20, 40, 60
     assert len(rows) == 5
+    assert rows[0].split(",") == [f.name for f in fields(HistoryRecord)]
     # identical seed, identical bytes (modulo the echoed scene path)
     assert body1.replace(h1, "") == open(h2).read().replace(h2, "")
     # flags echoed into the header
@@ -91,6 +134,17 @@ def test_train_config_file_and_flag_precedence(tmp_path):
     _, config, _, step, _ = load_checkpoint(ck)
     assert config["total_steps"] == 40
     assert step == 40
+
+
+def test_train_zero_decay_steps_fails_cleanly(tmp_path, capsys):
+    scene = _make_scene(tmp_path)
+    ck, h = str(tmp_path / "z.ck"), str(tmp_path / "z.csv")
+    capsys.readouterr()
+    assert _run(["train", scene, "--checkpoint", ck, "--history", h,
+                 "--decay-steps", "0", "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not os.path.exists(ck)
+    assert not os.path.exists(h)
 
 
 def test_train_bad_config_key_fails_cleanly(tmp_path):

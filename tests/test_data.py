@@ -102,6 +102,18 @@ def test_planted_noise_ratio_exact_per_frame():
         assert np.isclose(num / den, 0.15, atol=1e-12)
 
 
+def test_planted_spec_validation():
+    for bad, match in ((dict(points=1), "two points"),
+                       (dict(layers=0), "layer"),
+                       (dict(width_first=4, width_last=8), "widths"),
+                       (dict(width_first=4, width_last=0), "widths"),
+                       (dict(noise_ratio=-1.0), "non-negative"),
+                       (dict(noise_ratio=float("nan")), "non-negative"),
+                       (dict(max_missing=-1), "non-negative")):
+        with pytest.raises(ValueError, match=match):
+            PlantedSpec(**bad)
+
+
 def test_make_missing_counts_and_coordinates():
     scene, _ = synth_planted(PlantedSpec(points=10, frames=50, seed=7,
                                          width_first=6, width_last=3))
@@ -290,6 +302,15 @@ def test_normalize_scene_bbox_and_center():
     assert nn.norm_scales is None
     with pytest.raises(ValueError):
         normalize_scene(scene, "weird")
+
+
+def test_normalize_scene_rejects_frame_without_visible_points():
+    scene, _ = synth_planted(PlantedSpec(points=6, frames=8, seed=3,
+                                         width_first=6, width_last=3))
+    scene.visibility[2] = False
+    for mode in ("center", "bbox"):
+        with pytest.raises(ValueError, match="at frame 2"):
+            normalize_scene(scene, mode)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

@@ -25,6 +25,16 @@ def test_config_validation():
         TrainConfig(base_lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(normalize="boxes")
+    for bad, match in ((dict(base_lr=float("nan")), "learning rate"),
+                       (dict(decay_steps=0), "decay steps"),
+                       (dict(decay_factor=-0.9), "decay factor"),
+                       (dict(decay_factor=0.0), "decay factor"),
+                       (dict(decay_factor=1.5), "decay factor"),
+                       (dict(activation="foo"), "activation")):
+        with pytest.raises(ValueError, match=match):
+            TrainConfig(**bad)
+    flat = TrainConfig(decay_factor=1.0, decay_steps=1)
+    assert lr_schedule(5000, flat) == flat.base_lr
 
 
 def test_config_widths_interpolate_linearly():
