@@ -11,6 +11,9 @@ Conventions
 - block_rows r is 3 for pure rotation cameras and 4 in translation mode,
   where each first-layer atom carries an implicit appended column of ones
   (the homogeneous coordinate).
+- forward_batch holds a batch of B masked frames as one P x 2B matrix and
+  its block codes block-major, (K, r, B, 2), so that each layer is one
+  matrix product with the batch folded into a dimension.
 """
 
 from dataclasses import dataclass
@@ -141,33 +144,40 @@ def _threshold_vjp(g, v, b, activation):
     return g * on, g * db
 
 
-def _first_dict_3d(params):
-    P = params.point_count
-    K1 = params.widths[0]
-    return params.dictionaries[0].reshape(P, K1, 3)
+def _atom_rows(params):
+    """The first dictionary as a K1 x 3P matrix: row k is atom k's P x 3
+    point cloud, flattened."""
+    P, K1 = params.point_count, params.widths[0]
+    return params.dictionaries[0].reshape(P, K1, 3).transpose(1, 0, 2).reshape(K1, 3 * P)
 
 
-def _encoder(X, params):
-    """Block-ISTA encoder over masked frames X (B, P, 2).  Returns the
-    pre-activations and the block codes Psi_1..Psi_N, each (B, K_i, r, 2)."""
-    r = params.block_rows
-    T0 = np.empty((X.shape[0], params.widths[0], r, 2))
-    T0[:, :, :3, :] = np.einsum("pkc,bpq->bkcq", _first_dict_3d(params), X)
-    if r == 4:
-        T0[:, :, 3, :] = X.sum(axis=1)[:, None, :]
+def _encoder(Xt, params):
+    """Block-ISTA encoder over masked frames Xt (P, 2B), frame b in columns
+    2b..2b+1.  Returns the pre-activations and the block codes
+    Psi_1..Psi_N, each (K_i, r, B, 2)."""
+    B = Xt.shape[1] // 2
+    T0 = (params.dictionaries[0].T @ Xt).reshape(-1, 3, B, 2)
+    if params.block_rows == 4:
+        # every atom's implicit column of ones sums the frame's points
+        ones_row = Xt.reshape(-1, B, 2).sum(axis=0)
+        T0 = np.concatenate([T0, np.broadcast_to(ones_row, (len(T0), 1, B, 2))], axis=1)
     pre_acts, blocks = [T0], []
     for d, b in enumerate(params.enc_thresholds):
         if d:
-            pre_acts.append(np.einsum("jk,bjrc->bkrc", params.dictionaries[d], blocks[-1]))
-        blocks.append(threshold(pre_acts[d], b[None, :, None, None], params.activation))
+            prev = blocks[-1]
+            pre_acts.append((params.dictionaries[d].T @ prev.reshape(len(prev), -1))
+                            .reshape((-1,) + prev.shape[1:]))
+        blocks.append(threshold(pre_acts[d], b[:, None, None, None], params.activation))
     return pre_acts, blocks
 
 
 def _bottleneck(PsiN, params):
-    """Linear bottleneck over (B, K_N, r, 2) codes: psi_N^k = <beta, Psi_N^k>
-    and camera_raw = sum_k gamma_k Psi_N^k."""
-    psiN = np.einsum("rc,bkrc->bk", params.beta, PsiN)
-    Mraw = np.einsum("k,bkrc->brc", params.gamma, PsiN)
+    """Linear bottleneck over (K_N, r, B, 2) codes: psi_N^k = <beta, Psi_N^k>
+    and camera_raw = sum_k gamma_k Psi_N^k.  Returns psiN (B, K_N) and
+    camera_raw (B, r, 2)."""
+    K, r, B, _ = PsiN.shape
+    psiN = np.tensordot(PsiN, params.beta, axes=([1, 3], [0, 1])).T
+    Mraw = (params.gamma @ PsiN.reshape(K, -1)).reshape(r, B, 2).transpose(1, 0, 2)
     return psiN, Mraw
 
 
@@ -179,10 +189,10 @@ def _decoder(psiN, params):
     phi = psiN
     records = []
     for d in range(params.n_layers - 1, 0, -1):
-        u = np.einsum("jk,bk->bj", params.dictionaries[d], phi)
+        u = phi @ params.dictionaries[d].T
         records.append((d, phi, u))
-        phi = threshold(u, params.dec_thresholds[d - 1][None, :], params.activation)
-    return np.einsum("pkc,bk->bpc", _first_dict_3d(params), phi), phi, records
+        phi = threshold(u, params.dec_thresholds[d - 1], params.activation)
+    return (phi @ _atom_rows(params)).reshape(len(phi), -1, 3), phi, records
 
 
 def forward_batch(W, vis, params):
@@ -202,8 +212,8 @@ def forward_batch(W, vis, params):
     if W.shape[1] != P:
         raise ValueError(f"forward_batch: model has {P} points, W has {W.shape[1]}")
 
-    X = np.where(vis[:, :, None], W, 0.0)
-    pre_acts, blocks = _encoder(X, params)
+    Xt = np.where(vis[:, :, None], W, 0.0).transpose(1, 0, 2).reshape(P, -1)
+    pre_acts, blocks = _encoder(Xt, params)
     psiN, Mraw = _bottleneck(blocks[-1], params)
     Q, U, s, Vt, valid = polar_factor(Mraw[:, :3, :])
     S, phi, dec_records = _decoder(psiN, params)
@@ -215,12 +225,12 @@ def forward_batch(W, vis, params):
         valid = valid & (np.abs(eps) > HOMOGENEOUS_EPS)
         t_hat = eps[:, None] * Mraw[:, 3, :]
 
-    What = np.einsum("bpc,bcq->bpq", S, Q) + t_hat[:, None, :]
+    What = S @ Q + t_hat[:, None, :]
     resid = np.where(vis[:, :, None], W - What, 0.0)
     losses = np.sqrt(np.sum(resid * resid, axis=(1, 2)) + LOSS_SMOOTHING)
 
     cache = {
-        "W": W, "vis": vis, "X": X, "pre_acts": pre_acts, "blocks": blocks,
+        "W": W, "vis": vis, "Xt": Xt, "pre_acts": pre_acts, "blocks": blocks,
         "psiN": psiN, "Mraw": Mraw, "U": U, "s": s, "Vt": Vt, "Q": Q,
         "dec_records": dec_records, "phi1": phi, "S": S, "eps": eps,
         "t_hat": t_hat, "What": What, "resid": resid, "losses": losses,
@@ -247,17 +257,17 @@ def polar_jvp(U, s, Vt, dA):
 
 
 def polar_vjp(U, s, Vt, gQ):
-    """Adjoint of polar_jvp: gradient with respect to the 3x2 input, given
-    the gradient with respect to Q.  Built from the 6x6 Jacobian assembled
-    column by column (the matrix is tiny)."""
-    B = U.shape[0]
-    cols = []
-    for idx in range(6):
-        E = np.zeros((3, 2))
-        E[idx // 2, idx % 2] = 1.0
-        cols.append(polar_jvp(U, s, Vt, E[None]).reshape(B, 6))
-    J = np.stack(cols, axis=2)            # J[b, :, j] = vec(dQ/dA_j)
-    return np.einsum("bij,bi->bj", J, gQ.reshape(B, 6)).reshape(B, 3, 2)
+    """Adjoint of polar_jvp in closed form (Ionescu et al., ICCV 2015), with
+    the same clamps: the gradient with respect to the 3x2 input, given the
+    gradient gQ with respect to Q,
+        U [(G - G^T) / (s_i + s_j)] V^T + (I - U U^T) gQ V diag(1/s) V^T,
+    where G = U^T gQ V."""
+    V = np.swapaxes(Vt, -1, -2)
+    Ut = np.swapaxes(U, -1, -2)
+    G = Ut @ gQ @ V
+    core = (G - np.swapaxes(G, -1, -2)) / np.maximum(s[:, :, None] + s[:, None, :], POLAR_CLAMP)
+    sinv = 1.0 / np.maximum(s, POLAR_CLAMP)
+    return (U @ core + (gQ - U @ (Ut @ gQ)) @ (V * sinv[:, None, :])) @ Vt
 
 
 def backward_batch(cache, params):
@@ -267,14 +277,13 @@ def backward_batch(cache, params):
     parameter group."""
     act = params.activation
     r = params.block_rows
-    D1r = _first_dict_3d(params)
 
     weight = cache["valid"].astype(float)
     gWhat = (-cache["resid"] / cache["losses"][:, None, None]) * weight[:, None, None]
 
     S, Q, Mraw = cache["S"], cache["Q"], cache["Mraw"]
-    gS = np.einsum("bpq,bcq->bpc", gWhat, Q)
-    gQ = np.einsum("bpc,bpq->bcq", S, gWhat)
+    gS = (gWhat @ np.swapaxes(Q, 1, 2)).reshape(len(S), -1)
+    gQ = np.swapaxes(S, 1, 2) @ gWhat
     gMraw = np.zeros_like(Mraw)
     g_eps = None
     if r == 4:
@@ -287,36 +296,39 @@ def backward_batch(cache, params):
 
     # decoder final (linear) layer
     phi1 = cache["phi1"]
-    gphi = np.einsum("pkc,bpc->bk", D1r, gS)
-    grads["dict1"] += np.einsum("bpc,bk->pkc", gS, phi1).reshape(params.dictionaries[0].shape)
+    P, K1 = params.point_count, params.widths[0]
+    gphi = gS @ _atom_rows(params).T
+    grads["dict1"] += (phi1.T @ gS).reshape(K1, P, 3).transpose(1, 0, 2).reshape(P, 3 * K1)
     if r == 4:
         gphi = gphi + g_eps[:, None]
 
     # decoder thresholded layers, the last one applied first
     for d, phi_in, u in reversed(cache["dec_records"]):
-        gu, gb = _threshold_vjp(gphi, u, params.dec_thresholds[d - 1][None, :], act)
+        gu, gb = _threshold_vjp(gphi, u, params.dec_thresholds[d - 1], act)
         grads[f"dec_b{d + 1}"] += gb.sum(axis=0)
-        grads[f"dict{d + 1}"] += np.einsum("bj,bk->jk", gu, phi_in)
-        gphi = np.einsum("jk,bj->bk", params.dictionaries[d], gu)
+        grads[f"dict{d + 1}"] += gu.T @ phi_in
+        gphi = gu @ params.dictionaries[d]
     gpsiN = gphi
 
     # bottleneck
     blocksN = cache["blocks"][-1]
-    grads["beta"] += np.einsum("bk,bkrc->rc", gpsiN, blocksN)
-    grads["gamma"] += np.einsum("brc,bkrc->k", gMraw, blocksN)
-    gPsi = (params.beta[None, None] * gpsiN[:, :, None, None]
-            + params.gamma[None, :, None, None] * gMraw[:, None, :, :])
+    gMraw_t = gMraw.transpose(1, 0, 2)
+    grads["beta"] += np.tensordot(gpsiN.T, blocksN, axes=([0, 1], [0, 2]))
+    grads["gamma"] += blocksN.reshape(len(blocksN), -1) @ gMraw_t.ravel()
+    gPsi = (params.beta[:, None, :] * gpsiN.T[:, None, :, None]
+            + params.gamma[:, None, None, None] * gMraw_t)
 
     # encoder layers N..1
     for d in range(params.n_layers - 1, -1, -1):
         gV, gb = _threshold_vjp(gPsi, cache["pre_acts"][d],
-                                params.enc_thresholds[d][None, :, None, None], act)
-        grads[f"enc_b{d + 1}"] += gb.sum(axis=(0, 2, 3))
+                                params.enc_thresholds[d][:, None, None, None], act)
+        grads[f"enc_b{d + 1}"] += gb.sum(axis=(1, 2, 3))
         if d:
-            grads[f"dict{d + 1}"] += np.einsum("bjrc,bkrc->jk", cache["blocks"][d - 1], gV)
-            gPsi = np.einsum("jk,bkrc->bjrc", params.dictionaries[d], gV)
-    gD1r = np.einsum("bkcq,bpq->pkc", gV[:, :, :3, :], cache["X"])
-    grads["dict1"] += gD1r.reshape(params.dictionaries[0].shape)
+            gV2 = gV.reshape(len(gV), -1)
+            prev = cache["blocks"][d - 1]
+            grads[f"dict{d + 1}"] += prev.reshape(len(prev), -1) @ gV2.T
+            gPsi = (params.dictionaries[d] @ gV2).reshape(prev.shape)
+    grads["dict1"] += cache["Xt"] @ gV[:, :3].reshape(3 * K1, -1).T
 
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
@@ -343,7 +355,7 @@ def encode(W, mask, params):
     """Hierarchical block-ISTA encoder for one frame; returns the list of
     block codes Psi_1..Psi_N, each (K_i, r, 2)."""
     _, _, cache = forward_batch(*_one_frame(W, mask), params)
-    return [blk[0] for blk in cache["blocks"]]
+    return [blk[:, :, 0] for blk in cache["blocks"]]
 
 
 def recover_code_camera(PsiN, params):
@@ -353,7 +365,7 @@ def recover_code_camera(PsiN, params):
     if PsiN.shape != (params.widths[-1], r, 2):
         raise ValueError(f"recover_code_camera: expected {(params.widths[-1], r, 2)}, "
                          f"got {PsiN.shape}")
-    psiN, Mraw = _bottleneck(PsiN[None], params)
+    psiN, Mraw = _bottleneck(PsiN[:, :, None], params)
     return psiN[0], Mraw[0]
 
 
@@ -370,7 +382,7 @@ def forward(W, mask, params):
     losses, valid, cache = forward_batch(*_one_frame(W, mask), params)
     _require_valid(valid, params)
     return ForwardOutput(
-        hidden_blocks=cache["blocks"][-1][0],
+        hidden_blocks=cache["blocks"][-1][:, :, 0],
         code=cache["psiN"][0],
         camera_raw=cache["Mraw"][0],
         camera=CameraWeak(cache["Q"][0], scale=1.0, translation=cache["t_hat"][0]),

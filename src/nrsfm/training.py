@@ -32,7 +32,9 @@ class TrainConfig:
     normalize: str = field(default="bbox", metadata={"choices": NORMALIZE_MODES})
 
     def __post_init__(self):
-        mdl.width_schedule(self.width_first, self.width_last, self.layers)
+        if self.widths[-1] < 2:
+            raise ValueError("the final dictionary needs at least 2 atoms "
+                             "(its mutual coherence is recorded)")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.batch_size < 1:
@@ -217,16 +219,16 @@ def _epoch_perm(seed, epoch, n):
     return np.random.default_rng([seed, 7919, epoch]).permutation(n)
 
 
-def _batch_indices(seed, n_frames, step, batch_size, perm_cache):
-    g0 = step * batch_size
-    out = np.empty(batch_size, dtype=int)
-    for i in range(batch_size):
-        g = g0 + i
-        epoch, pos = divmod(g, n_frames)
-        if epoch not in perm_cache:
-            perm_cache[epoch] = _epoch_perm(seed, epoch, n_frames)
-        out[i] = perm_cache[epoch][pos]
-    return out
+def _batch_indices(seed, n_frames, step, batch_size, perms):
+    """Frame indices of training step `step`: entries step*B .. step*B+B-1 of
+    the seeded per-epoch permutations laid end to end.  perms caches epoch ->
+    permutation and keeps only the epochs this batch touches."""
+    g = step * batch_size + np.arange(batch_size)
+    epochs = range(g[0] // n_frames, g[-1] // n_frames + 1)
+    live = {e: perms[e] if e in perms else _epoch_perm(seed, e, n_frames) for e in epochs}
+    perms.clear()
+    perms.update(live)
+    return np.concatenate(list(live.values()))[g - epochs[0] * n_frames]
 
 
 @dataclass
@@ -268,7 +270,7 @@ def train(scene, config, init=None, verbose=True):
         params = params.copy()
 
     history = TrainHistory()
-    perm_cache = {}
+    perms = {}
 
     def record(step):
         mean_loss, coherence, error3d = _evaluate(scene, params, allow_scale)
@@ -284,7 +286,7 @@ def train(scene, config, init=None, verbose=True):
         record(0)
     for step in range(start_step, config.total_steps):
         idx = _batch_indices(config.seed, scene.frame_count, step,
-                             config.batch_size, perm_cache)
+                             config.batch_size, perms)
         _, valid, cache = mdl.forward_batch(scene.measurements[idx],
                                             scene.visibility[idx], params)
         skipped += int(np.count_nonzero(~valid))

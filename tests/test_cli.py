@@ -1,10 +1,13 @@
 import argparse
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import nrsfm
 from nrsfm.cli import build_parser, main
 from nrsfm.data import PlantedSpec, load_checkpoint, load_scene
 from nrsfm.geometry import normalized_3d_error
@@ -118,6 +121,37 @@ def test_train_history_and_determinism(tmp_path):
     assert body1.replace(h1, "") == open(h2).read().replace(h2, "")
     # flags echoed into the header
     assert "# total_steps=60" in body1
+
+
+def test_train_bytes_independent_of_blas_threads(tmp_path):
+    # the batch is folded into BLAS products; their results must not depend
+    # on how many threads BLAS splits them over
+    scene = _make_scene(tmp_path)
+    src = os.path.dirname(os.path.dirname(nrsfm.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        ck, h = str(tmp_path / f"t{threads}.ck"), str(tmp_path / f"t{threads}.csv")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        subprocess.run([sys.executable, "-m", "nrsfm.cli", "train", scene,
+                        "--checkpoint", ck, "--history", h] + _TRAIN_FLAGS,
+                       env=env, check=True, timeout=300)
+        # both runs echo the same scene path, so whole files compare
+        with open(h, "rb") as fh_h, open(ck, "rb") as fh_ck:
+            outputs.append((fh_h.read(), fh_ck.read()))
+    assert outputs[0] == outputs[1]
+
+
+def test_train_single_atom_final_dictionary_fails_cleanly(tmp_path, capsys):
+    scene = _make_scene(tmp_path)
+    ck, h = str(tmp_path / "w.ck"), str(tmp_path / "w.csv")
+    capsys.readouterr()
+    assert _run(["train", scene, "--checkpoint", ck, "--history", h,
+                 "--width-last", "1", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "final dictionary" in err
+    assert not os.path.exists(ck)
+    assert not os.path.exists(h)
 
 
 def test_train_config_file_and_flag_precedence(tmp_path):

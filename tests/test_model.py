@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from nrsfm.geometry import random_rotation
-from nrsfm.model import (CameraRankError, ModelParams, decode, default_beta,
-                         default_gamma, encode, forward, forward_batch, loss,
+from nrsfm.model import (POLAR_CLAMP, CameraRankError, ModelParams,
+                         backward_batch, decode, default_beta, default_gamma,
+                         encode, forward, forward_batch, loss,
                          nonneg_split_check, polar_jvp, polar_vjp,
                          recover_code_camera)
-from nrsfm.sparse import block_sparsity
+from nrsfm.sparse import block_ista_step, block_sparsity
 
 
 def _random_params(rng, P=5, widths=(6, 3), activation="relu", block_rows=3,
@@ -362,6 +363,72 @@ def test_polar_vjp_is_adjoint_of_jvp():
         lhs = np.sum(gQ * polar_jvp(U, s, Vt, dA))
         rhs = np.sum(polar_vjp(U, s, Vt, gQ) * dA)
         assert np.isclose(lhs, rhs, atol=1e-10)
+
+
+def _polar_vjp_by_jacobian(U, s, Vt, gQ):
+    """The VJP through the 6x6 Jacobian of polar_jvp, built column by
+    column."""
+    B = U.shape[0]
+    cols = []
+    for idx in range(6):
+        E = np.zeros((3, 2))
+        E[idx // 2, idx % 2] = 1.0
+        cols.append(polar_jvp(U, s, Vt, E[None]).reshape(B, 6))
+    J = np.stack(cols, axis=2)            # J[b, :, j] = vec(dQ/dA_j)
+    return np.einsum("bij,bi->bj", J, gQ.reshape(B, 6)).reshape(B, 3, 2)
+
+
+@pytest.mark.parametrize("case", ["random", "near_equal", "clamped"])
+def test_polar_vjp_matches_jacobian_oracle(case):
+    rng = np.random.default_rng(29)
+    A = rng.standard_normal((40, 3, 2))
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    if case == "near_equal":
+        s = np.stack([s[:, 0], s[:, 0] * (1 - 1e-9)], axis=1)
+    elif case == "clamped":
+        # sigma_2 below the clamp; in half the frames sigma_1 + sigma_2 too
+        s = np.stack([s[:, 0], np.full(len(s), POLAR_CLAMP / 10)], axis=1)
+        s[::2, 0] = POLAR_CLAMP / 4
+    gQ = rng.standard_normal((40, 3, 2))
+    ref = _polar_vjp_by_jacobian(U, s, Vt, gQ)
+    got = polar_vjp(U, s, Vt, gQ)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def _rel_close(a, b, rtol=1e-12):
+    return np.max(np.abs(a - b)) <= rtol * max(np.max(np.abs(b)), 1e-300)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("block_rows", [3, 4])
+@pytest.mark.parametrize("activation", ["relu", "soft"])
+def test_batch_axis_matches_single_frames(layers, block_rows, activation):
+    # the batch axis is folded into GEMM dimensions; a reshape or transpose
+    # mix-up would mix frames, so a batch must equal its frames one by one
+    rng = np.random.default_rng(30 + 7 * layers + block_rows)
+    widths = (6, 4, 3)[:layers]
+    params = _random_params(rng, P=7, widths=widths, activation=activation,
+                            block_rows=block_rows, thresholds=0.02)
+    B = 5
+    W = rng.standard_normal((B, 7, 2)) + (2.0 if block_rows == 4 else 0.0)
+    vis = rng.random((B, 7)) > 0.25
+    losses, valid, cache = forward_batch(W, vis, params)
+    grads = backward_batch(cache, params)
+    summed = {name: np.zeros_like(g) for name, g in grads.items()}
+    for f in range(B):
+        l1, v1, c1 = forward_batch(W[f:f + 1], vis[f:f + 1], params)
+        assert v1[0] == valid[f]
+        assert _rel_close(losses[f:f + 1], l1)
+        assert _rel_close(cache["S"][f], c1["S"][0])
+        assert _rel_close(cache["Q"][f], c1["Q"][0])
+        for name, g in backward_batch(c1, params).items():
+            summed[name] += g
+        if block_rows == 3:
+            D1X = block_ista_step(W[f], params.dictionaries[0], np.zeros(6),
+                                  mask=vis[f])
+            assert _rel_close(cache["pre_acts"][0][:, :, f], D1X)
+    for name, g in grads.items():
+        assert _rel_close(g, summed[name]), name
 
 
 def test_nonneg_split_nonnegative_code():

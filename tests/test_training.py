@@ -4,7 +4,8 @@ import pytest
 from nrsfm.data import PlantedSpec, normalize_scene, synth_planted
 from nrsfm.model import ModelParams
 from nrsfm.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, OptimizerState,
-                            TrainConfig, adam_step, gradients, init_params,
+                            TrainConfig, _batch_indices, _epoch_perm,
+                            adam_step, gradients, init_params,
                             last_dictionary_atoms, lr_schedule, reconstruct,
                             scene_error, train)
 
@@ -32,6 +33,10 @@ def test_config_validation():
                        (dict(decay_factor=1.5), "decay factor"),
                        (dict(activation="foo"), "activation")):
         with pytest.raises(ValueError, match=match):
+            TrainConfig(**bad)
+    # the final dictionary's coherence needs two atoms
+    for bad in (dict(width_last=1), dict(layers=1, width_first=1, width_last=1)):
+        with pytest.raises(ValueError, match="final dictionary"):
             TrainConfig(**bad)
     flat = TrainConfig(decay_factor=1.0, decay_steps=1)
     assert lr_schedule(5000, flat) == flat.base_lr
@@ -127,6 +132,32 @@ def test_gradients_empty_batch_rejected():
     params, W, vis = _random_instance(rng)
     with pytest.raises(ValueError):
         gradients(params, W[:0], vis[:0])
+
+
+def _batch_indices_loop(seed, n_frames, step, batch_size, perm_cache):
+    """Frame indices one by one, every epoch's permutation kept."""
+    out = np.empty(batch_size, dtype=int)
+    for i in range(batch_size):
+        epoch, pos = divmod(step * batch_size + i, n_frames)
+        if epoch not in perm_cache:
+            perm_cache[epoch] = _epoch_perm(seed, epoch, n_frames)
+        out[i] = perm_cache[epoch][pos]
+    return out
+
+
+@pytest.mark.parametrize("n_frames, batch_size", [(10, 4), (12, 4), (7, 7),
+                                                  (5, 12), (3, 8)])
+def test_batch_indices_match_loop_oracle(n_frames, batch_size):
+    # across epoch boundaries, and batches longer than the scene
+    perms, oracle_cache = {}, {}
+    for step in range(40):
+        got = _batch_indices(11, n_frames, step, batch_size, perms)
+        want = _batch_indices_loop(11, n_frames, step, batch_size, oracle_cache)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        first = step * batch_size // n_frames
+        last = ((step + 1) * batch_size - 1) // n_frames
+        assert sorted(perms) == list(range(first, last + 1))
 
 
 def test_adam_single_step_closed_form():
