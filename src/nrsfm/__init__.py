@@ -6,14 +6,12 @@ from .sparse import (
 )
 from .geometry import (
     CameraWeak, project, random_camera, random_rotation, normalize_bbox,
-    denormalize_bbox, translation_residual, orthonormalize_camera,
-    align_shapes, frame_3d_errors, normalized_3d_error, mutual_coherence,
-    noise_perturb,
+    orthonormalize_camera, align_shapes, frame_3d_errors, normalized_3d_error,
+    mutual_coherence, noise_perturb,
 )
 from .model import (
     ModelParams, ForwardOutput, CameraRankError, encode, decode,
-    recover_code_camera, forward, loss, nonneg_split_check,
-    default_beta, default_gamma,
+    recover_code_camera, forward, loss, default_beta, default_gamma,
 )
 from .data import (
     Scene, PlantedSpec, synth_planted, make_missing, save_scene, load_scene,

@@ -2,9 +2,11 @@
 
 On-disk contracts
 -----------------
-Scene files are a single self-describing text container: header comment
-lines (key=value), then the record sections of SCENE_SECTIONS, each with
-its header row.  [measurements] is required; [shapes] (ground truth),
+Scene files are a single self-describing text container: the magic line
+and '#' header lines (key=value), then the record sections of
+SCENE_SECTIONS, each a '[name]' line alone on its line, its header row on
+the next line, then its records.  '#' lines may appear only before the
+first section.  [measurements] is required; [shapes] (ground truth),
 [cameras] and [normalization] are optional.  Floats carry 17 significant
 digits so round trips are bit-exact.
 
@@ -14,13 +16,14 @@ float64 blob per tensor in manifest order.
 """
 
 import json
+import re
 from dataclasses import dataclass, asdict, field, fields, replace
 
 import numpy as np
 
 from .geometry import (CAMERA_MODES, normalize_bbox, noise_perturb, project,
                        random_camera, visible_centroid)
-from .model import ModelParams, default_beta, default_gamma, width_schedule
+from .model import ModelParams, random_params, width_schedule
 from .training import OptimizerState
 
 SCENE_MAGIC = "# nrsfm-scene v1"
@@ -125,27 +128,10 @@ class PlantedSpec:
         return width_schedule(self.width_first, self.width_last, self.layers)
 
 
-def _planted_dictionaries(spec, rng):
-    """Unit-norm Gaussian dictionaries; first-layer atoms are centered so
-    every generated shape has zero centroid."""
-    widths = spec.widths
-    P = spec.points
-    D1r = rng.standard_normal((P, widths[0], 3))
-    D1r -= D1r.mean(axis=0, keepdims=True)
-    D1 = D1r.reshape(P, 3 * widths[0])
-    norms = np.linalg.norm(D1r, axis=(0, 2))
-    D1 /= np.repeat(norms, 3)[None, :]
-    dicts = [D1]
-    for i in range(1, spec.layers):
-        D = rng.standard_normal((widths[i - 1], widths[i]))
-        D /= np.linalg.norm(D, axis=0)
-        dicts.append(D)
-    return dicts
-
-
 def synth_planted(spec):
     """Sample a planted scene: non-negative sparse codes expanded through
-    unit-norm hierarchical dictionaries, projected by random cameras.
+    unit-norm hierarchical dictionaries, projected by random cameras.  The
+    first-layer atoms are centered, so every shape has zero centroid.
 
     Returns (scene with ground truth, generating ModelParams).  The codes
     are expanded linearly; soft thresholds at zero are the identity, so the
@@ -153,14 +139,9 @@ def synth_planted(spec):
     """
     rng = np.random.default_rng(spec.seed)
     widths = spec.widths
-    dicts = _planted_dictionaries(spec, rng)
-    params = ModelParams(
-        dicts,
-        [np.zeros(k) for k in widths],
-        [np.zeros(k) for k in widths[:-1]],
-        default_beta(3), default_gamma(widths[-1]), activation="soft",
-    )
     F, P = spec.frames, spec.points
+    params = random_params(rng, P, widths, "soft", 3, centered=True)
+    dicts = params.dictionaries
     W = np.empty((F, P, 2))
     shapes = np.empty((F, P, 3))
     rot = np.empty((F, 3, 2))
@@ -256,41 +237,32 @@ def save_scene(scene, path):
 
 def load_scene(path):
     with open(path) as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0] != SCENE_MAGIC:
+        preamble, *split = re.split(r"\n\[(.*)\]\n", fh.read())
+    lines = preamble.split("\n")
+    if lines[0] != SCENE_MAGIC:
         raise SceneFormatError(f"{path}: not a scene file (missing magic header)")
     header = {}
-    sections = {}
-    current = None
-    start_line = {}
-    for i, line in enumerate(raw[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for tok in line[1:].split():
-                if "=" in tok:
-                    k, v = tok.split("=", 1)
-                    header[k] = v
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1]
-            if current not in SCENE_SECTIONS:
-                raise SceneFormatError(f"{path}:{i}: unknown section [{current}]")
-            if current in sections:
-                raise SceneFormatError(f"{path}:{i}: repeated section [{current}]")
-            sections[current] = []
-            start_line[current] = i + 2   # past the header row
-            continue
-        if current is None:
+    for i, line in enumerate(lines[1:], start=2):
+        if line.strip() and not line.startswith("#"):
             raise SceneFormatError(f"{path}:{i}: data outside any section")
-        sections[current].append(line)
+        header.update(tok.split("=", 1) for tok in line[1:].split() if "=" in tok)
+    sections = {}
+    line_no = len(lines) + 1   # of the first [section] line
+    for name, body in zip(split[::2], split[1::2]):
+        if name not in SCENE_SECTIONS:
+            raise SceneFormatError(f"{path}:{line_no}: unknown section [{name}]")
+        if name in sections:
+            raise SceneFormatError(f"{path}:{line_no}: repeated section [{name}]")
+        sections[name] = (line_no, body)
+        line_no += body.count("\n") + 2
 
     try:
         F = int(header["frames"])
         P = int(header["points"])
     except KeyError as exc:
         raise SceneFormatError(f"{path}: missing header field {exc}") from None
+    except ValueError as exc:
+        raise SceneFormatError(f"{path}: bad header field ({exc})") from None
     if F < 1 or P < 1:
         raise SceneFormatError(f"{path}: frames and points must be positive")
     mode = header.get("mode", "orthogonal")
@@ -303,27 +275,23 @@ def load_scene(path):
         appear exactly once."""
         header_row, n_keys = SCENE_SECTIONS[name]
         grid = (F, P)[:n_keys]
-        rows = sections[name]
-        if not rows:
+        line_no, body = sections[name]
+        row, *records = body.split("\n")
+        if row != header_row:
+            raise SceneFormatError(f"{path}:{line_no + 1}: section [{name}] has header row "
+                                   f"{row!r}, expected {header_row!r}")
+        if not any(map(str.strip, records)):
             raise SceneFormatError(f"{path}: empty section [{name}]")
-        if rows[0] != header_row:
-            raise SceneFormatError(f"{path}: section [{name}] has header row "
-                                   f"{rows[0]!r}, expected {header_row!r}")
-        body = rows[1:]
-        expected_rows = int(np.prod(grid))
-        if len(body) != expected_rows:
-            raise SceneFormatError(
-                f"{path}: section [{name}] has {len(body)} records, expected {expected_rows}")
         try:
-            arr = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+            arr = np.loadtxt(records, delimiter=",", comments=None, ndmin=2)
         except ValueError as exc:
             raise SceneFormatError(f"{path}: [{name}] starting at line "
-                                   f"{start_line[name]}: bad record ({exc})") from None
-        n_fields = header_row.count(",") + 1
-        if arr.shape[1] != n_fields:
-            raise SceneFormatError(
-                f"{path}: section [{name}] records have {arr.shape[1]} fields, "
-                f"expected {n_fields}")
+                                   f"{line_no + 2}: bad record ({exc})") from None
+        expected_rows = int(np.prod(grid))
+        want = (expected_rows, header_row.count(",") + 1)
+        if arr.shape != want:
+            raise SceneFormatError(f"{path}: section [{name}] has {arr.shape[0]} records of "
+                                   f"{arr.shape[1]} fields, expected {want[0]} of {want[1]}")
         keys = arr[:, :n_keys]
         if not np.all((keys >= 0) & (keys < grid) & (keys == np.floor(keys))):
             raise SceneFormatError(f"{path}: section [{name}] has an index outside the grid")
@@ -420,9 +388,14 @@ def load_checkpoint(path):
                 manifest["activation"], manifest["block_rows"])
             opt_state = None
             if manifest.get("opt_step") is not None:
-                m1 = {n: tensors[f"adam_m/{n}"] for n, _ in params.param_items()}
-                m2 = {n: tensors[f"adam_v/{n}"] for n, _ in params.param_items()}
-                opt_state = OptimizerState(m1, m2, manifest["opt_step"])
+                moments = {"adam_m": {}, "adam_v": {}}
+                for prefix, moment in moments.items():
+                    for n, p in params.param_items():
+                        moment[n] = tensors[f"{prefix}/{n}"]
+                        if moment[n].shape != p.shape:
+                            raise CheckpointError(f"{path}: tensor {prefix}/{n} has shape "
+                                                  f"{moment[n].shape}, its parameter {p.shape}")
+                opt_state = OptimizerState(*moments.values(), manifest["opt_step"])
         except KeyError as exc:
             raise CheckpointError(f"{path}: checkpoint lacks {exc}") from None
     return (params, manifest.get("config"), opt_state,

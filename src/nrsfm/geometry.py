@@ -126,24 +126,6 @@ def normalize_bbox(W, mask=None):
     return Wn, (centroid, scale)
 
 
-def denormalize_bbox(W, record, mask=None):
-    """Invert normalize_bbox using its (centroid, scale) record."""
-    centroid, scale = record
-    W = np.asarray(W, dtype=float) * scale + np.asarray(centroid, dtype=float)
-    if mask is not None:
-        W = np.where(np.asarray(mask, dtype=bool)[:, None], W, 0.0)
-    return W
-
-
-def translation_residual(W, mask):
-    """Centering residual caused by missing points: (1/P) * sum over
-    invisible points of their image coordinates."""
-    W = np.asarray(W, dtype=float)
-    mask = np.asarray(mask, dtype=bool).ravel()
-    P = W.shape[0]
-    return W[~mask].sum(axis=0) / P
-
-
 def polar_factor(M):
     """Polar factor Q = U V^T of 3x2 matrices (any leading batch shape) from
     their thin SVD.  Returns (Q, U, s, Vt, full_rank), full_rank being

@@ -125,6 +125,22 @@ def default_gamma(k_last):
     return np.full(k_last, 1.0 / k_last)
 
 
+def random_params(rng, point_count, widths, activation, block_rows, centered=False):
+    """Gaussian dictionaries with unit-norm atoms (D1's atoms centered over
+    the points first when centered), zero thresholds and uniform-average
+    combiners, drawn from rng layer by layer."""
+    D1 = rng.standard_normal((point_count, widths[0], 3))
+    if centered:
+        D1 -= D1.mean(axis=0)
+    D1 /= np.linalg.norm(D1, axis=(0, 2))[:, None]
+    dicts = [D1.reshape(point_count, 3 * widths[0])]
+    for k_in, k_out in zip(widths, widths[1:]):
+        D = rng.standard_normal((k_in, k_out))
+        dicts.append(D / np.linalg.norm(D, axis=0))
+    return ModelParams(dicts, [np.zeros(k) for k in widths], [np.zeros(k) for k in widths[:-1]],
+                       default_beta(block_rows), default_gamma(widths[-1]), activation, block_rows)
+
+
 @dataclass
 class ForwardOutput:
     hidden_blocks: np.ndarray      # Psi_N, (K_N, r, 2)
@@ -404,32 +420,3 @@ def loss(W, mask, params):
     losses, valid, _ = forward_batch(W, mask, params)
     _require_valid(valid, params)
     return float(losses.sum())
-
-
-@dataclass
-class SplitCheckRecord:
-    reconstruction_error: float
-    camera_error: float
-    ok: bool
-
-
-def nonneg_split_check(D, Psi, gamma=None, tol=1e-12):
-    """Verify that splitting a signed block code into non-negative halves
-    preserves both the dictionary product and the gamma camera combination:
-    [D, -D] [Psi+; -Psi-] == D Psi."""
-    D = np.asarray(D, dtype=float)
-    Psi = np.asarray(Psi, dtype=float)
-    pos = np.maximum(Psi, 0.0)
-    neg = np.minimum(Psi, 0.0)
-    direct = np.einsum("jk,krc->jrc", D, Psi)
-    split = (np.einsum("jk,krc->jrc", D, pos)
-             + np.einsum("jk,krc->jrc", -D, -neg))
-    rec_err = float(np.max(np.abs(direct - split))) if direct.size else 0.0
-    cam_err = 0.0
-    if gamma is not None:
-        gamma = np.asarray(gamma, dtype=float)
-        M = np.einsum("k,krc->rc", gamma, Psi)
-        M_split = (np.einsum("k,krc->rc", gamma, pos)
-                   + np.einsum("k,krc->rc", -gamma, -neg))
-        cam_err = float(np.max(np.abs(M - M_split)))
-    return SplitCheckRecord(rec_err, cam_err, rec_err <= tol and cam_err <= tol)

@@ -91,27 +91,11 @@ class TrainHistory:
 
 
 def init_params(config, point_count, seed=None):
-    """Gaussian dictionaries with unit-norm columns, zero thresholds, and
-    uniform-average combiners.  Deterministic per seed."""
+    """The config's model drawn by model.random_params from seed (default
+    config.seed).  Deterministic per seed."""
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    widths = config.widths
-    D1 = rng.standard_normal((point_count, 3 * widths[0]))
-    atom_norms = np.linalg.norm(D1.reshape(point_count, widths[0], 3), axis=(0, 2))
-    D1 /= np.repeat(atom_norms, 3)[None, :]
-    dicts = [D1]
-    for i in range(1, config.layers):
-        D = rng.standard_normal((widths[i - 1], widths[i]))
-        D /= np.linalg.norm(D, axis=0)
-        dicts.append(D)
-    return mdl.ModelParams(
-        dicts,
-        [np.zeros(k) for k in widths],
-        [np.zeros(k) for k in widths[:-1]],
-        mdl.default_beta(config.block_rows),
-        mdl.default_gamma(widths[-1]),
-        activation=config.activation,
-        block_rows=config.block_rows,
-    )
+    return mdl.random_params(rng, point_count, config.widths, config.activation,
+                             config.block_rows)
 
 
 def gradients(params, measurements, masks):

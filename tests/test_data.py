@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +246,22 @@ def test_scene_load_errors(tmp_path):
         (tmp_path / "structure.txt").write_text(text)
         with pytest.raises(SceneFormatError, match=match):
             load_scene(tmp_path / "structure.txt")
+    # '#' lines only before the first section, records only inside one, no
+    # section without records, and integer header counts
+    first = body.index("0,0,")
+    record = body[first:body.index("\n", first) + 1]
+    shapes_header = "[shapes]\nframe,point,x,y,z\n"
+    for text, match in ((body.replace("[measurements]", record + "[measurements]"),
+                         "data outside any section"),
+                        (body.replace(record, record + "# a comment\n", 1), "bad record"),
+                        (body.replace(shapes, shapes_header), "empty section"),
+                        (body + "[normalization]\nframe,cx,cy,scale\n", "empty section"),
+                        (body.replace("frames=2", "frames=2x0"), "bad header field")):
+        (tmp_path / "structure.txt").write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SceneFormatError, match=match):
+                load_scene(tmp_path / "structure.txt")
 
 
 def test_shipped_sample_scene_loads():
@@ -378,6 +396,34 @@ def test_checkpoint_errors(tmp_path):
                         + blob[:offsets[k]] + blob[offsets[k + 1]:])
     with pytest.raises(CheckpointError, match="beta"):
         load_checkpoint(lacking)
+
+
+def test_checkpoint_rejects_moment_of_wrong_shape(tmp_path):
+    params = init_params(TrainConfig(width_first=4, width_last=2), 5)
+    opt = OptimizerState.zeros(params)
+    opt.moment1["gamma"] = np.zeros((2, 8))
+    save_checkpoint(tmp_path / "ck.bin", params, opt_state=opt)
+    with pytest.raises(CheckpointError, match="adam_m/gamma"):
+        load_checkpoint(tmp_path / "ck.bin")
+
+
+def test_generation_bytes_are_pinned(tmp_path):
+    """A planted scene, its params and an init_params checkpoint keep the
+    bytes they had when the two model generators became one."""
+    scene, params = synth_planted(PlantedSpec(
+        points=6, frames=4, layers=3, width_first=5, width_last=2, sparsity=1,
+        camera_mode="weak_perspective", noise_ratio=0.1, max_missing=2, seed=21))
+    save_scene(scene, tmp_path / "scene.txt")
+    save_checkpoint(tmp_path / "planted.ckpt", params)
+    config = TrainConfig(width_first=6, width_last=3, translation=True)
+    save_checkpoint(tmp_path / "init.ckpt", init_params(config, 5, seed=4))
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("scene.txt", "planted.ckpt", "init.ckpt")}
+    assert digests == {
+        "scene.txt": "a025f80296f63f74c3a4c5d8bae38e51d863fb209cfe72a88477d993680e39c0",
+        "planted.ckpt": "51d6d8a3895eb5f08671b2e2fa212ffc9851b429bb65d07ce443790e8efad317",
+        "init.ckpt": "e5cd529c27d3f8141996155c8b291c62782b099f8de7e1636fb6f8416a79f8c3",
+    }
 
 
 def test_scene_copy_is_deep():

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from nrsfm.geometry import (CameraWeak, align_shapes, denormalize_bbox,
-                            frame_3d_errors, mutual_coherence, noise_perturb, normalize_bbox,
+from nrsfm.geometry import (CameraWeak, align_shapes, frame_3d_errors,
+                            mutual_coherence, noise_perturb, normalize_bbox,
                             normalized_3d_error, orthonormalize_camera,
-                            project, random_camera, random_rotation,
-                            translation_residual)
+                            project, random_camera, random_rotation)
 
 
 def test_project_orthogonal_basic():
@@ -77,8 +76,8 @@ def test_normalize_bbox_roundtrip():
     W = rng.standard_normal((12, 2)) * 3 + 5
     mask = np.ones(12, dtype=bool)
     mask[[2, 7]] = False
-    Wn, rec = normalize_bbox(W, mask)
-    back = denormalize_bbox(Wn, rec)
+    Wn, (centroid, scale) = normalize_bbox(W, mask)
+    back = Wn * scale + centroid
     assert np.allclose(back[mask], W[mask], atol=1e-12)
     # invisible entries were zeroed in the normalized frame
     assert np.all(Wn[~mask] == 0)
@@ -107,21 +106,6 @@ def test_normalize_bbox_degenerate():
     mask[1, 1:] = False
     with pytest.raises(ValueError, match="2 visible points at frame 1"):
         normalize_bbox(batch, mask)
-
-
-def test_translation_residual():
-    W = np.array([[1.0, 1.0], [3.0, 3.0]])
-    mask = np.array([True, False])
-    assert np.allclose(translation_residual(W, mask), [1.5, 1.5])
-    assert np.allclose(translation_residual(W, np.ones(2, bool)), [0, 0])
-
-
-def test_translation_residual_matches_direct_sum():
-    rng = np.random.default_rng(6)
-    W = rng.standard_normal((15, 2))
-    mask = rng.random(15) > 0.4
-    expected = sum(W[i] for i in range(15) if not mask[i]) / 15
-    assert np.allclose(translation_residual(W, mask), expected)
 
 
 def test_orthonormalize_idempotent_and_scale_stripping():

@@ -4,9 +4,8 @@ import pytest
 from nrsfm.geometry import random_rotation
 from nrsfm.model import (POLAR_CLAMP, CameraRankError, ModelParams,
                          backward_batch, decode, default_beta, default_gamma,
-                         encode, forward, forward_batch, loss,
-                         nonneg_split_check, polar_jvp, polar_vjp,
-                         recover_code_camera)
+                         encode, forward, forward_batch, loss, polar_jvp,
+                         polar_vjp, recover_code_camera)
 from nrsfm.sparse import block_ista_step, block_sparsity
 
 
@@ -429,23 +428,3 @@ def test_batch_axis_matches_single_frames(layers, block_rows, activation):
             assert _rel_close(cache["pre_acts"][0][:, :, f], D1X)
     for name, g in grads.items():
         assert _rel_close(g, summed[name]), name
-
-
-def test_nonneg_split_nonnegative_code():
-    rng = np.random.default_rng(29)
-    D = rng.standard_normal((6, 4))
-    Psi = np.abs(rng.standard_normal((4, 3, 2)))
-    rec = nonneg_split_check(D, Psi)
-    assert rec.ok
-    assert rec.reconstruction_error == 0
-
-
-def test_nonneg_split_signed_code_and_camera():
-    rng = np.random.default_rng(30)
-    D = rng.standard_normal((6, 4))
-    Psi = rng.standard_normal((4, 3, 2))
-    gamma = rng.standard_normal(4)
-    rec = nonneg_split_check(D, Psi, gamma=gamma)
-    assert rec.ok
-    assert rec.reconstruction_error <= 1e-12
-    assert rec.camera_error <= 1e-12
