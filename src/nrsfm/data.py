@@ -10,12 +10,15 @@ first section.  [measurements] is required; [shapes] (ground truth),
 [cameras] and [normalization] are optional.  Floats carry 17 significant
 digits so round trips are bit-exact.
 
-Checkpoints are a binary container: a UTF-8 JSON manifest line (version,
-config, step, tensor names/shapes), a blank line, then one little-endian
-float64 blob per tensor in manifest order.
+Checkpoints are a binary container: the magic line, a UTF-8 JSON
+manifest line (version, config, step, tensor names/shapes), then a body of
+little-endian float64 tensors in manifest order, read and written as one
+blob: the parameters in param_items order (ModelParams.flat), then, with
+an optimizer state, Adam's two moment vectors in the same layout.
 """
 
 import json
+import math
 import re
 from dataclasses import dataclass, asdict, field, fields, replace
 
@@ -236,8 +239,11 @@ def save_scene(scene, path):
 
 
 def load_scene(path):
-    with open(path) as fh:
-        preamble, *split = re.split(r"\n\[(.*)\]\n", fh.read())
+    try:
+        with open(path) as fh:
+            preamble, *split = re.split(r"\n\[(.*)\]\n", fh.read())
+    except UnicodeDecodeError as exc:
+        raise SceneFormatError(f"{path}: not a text scene file ({exc})") from None
     lines = preamble.split("\n")
     if lines[0] != SCENE_MAGIC:
         raise SceneFormatError(f"{path}: not a scene file (missing magic header)")
@@ -333,12 +339,7 @@ def save_checkpoint(path, params, config=None, opt_state=None, step=0,
                     skipped=0):
     """Write params (+ optional training config / optimizer state) to a
     binary checkpoint.  Everything is float64 little-endian."""
-    tensors = dict(params.param_items())
-    if opt_state is not None:
-        for name, arr in opt_state.moment1.items():
-            tensors[f"adam_m/{name}"] = arr
-        for name, arr in opt_state.moment2.items():
-            tensors[f"adam_v/{name}"] = arr
+    blobs = [params.flat] + ([] if opt_state is None else [opt_state.moment1, opt_state.moment2])
     manifest = {
         "version": 1,
         "activation": params.activation,
@@ -347,56 +348,62 @@ def save_checkpoint(path, params, config=None, opt_state=None, step=0,
         "skipped": int(skipped),
         "config": None if config is None else asdict(config),
         "opt_step": None if opt_state is None else int(opt_state.step),
-        "tensors": [{"name": n, "shape": list(a.shape)} for n, a in tensors.items()],
+        "tensors": [{"name": prefix + n, "shape": list(a.shape)}
+                    for prefix in ("", "adam_m/", "adam_v/")[:len(blobs)]
+                    for n, a in params.param_items()],
     }
     with open(path, "wb") as fh:
         fh.write((CHECKPOINT_MAGIC + "\n").encode())
         fh.write((json.dumps(manifest) + "\n").encode())
-        for arr in tensors.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(np.concatenate(blobs, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path):
     """Read a checkpoint.  Returns (params, config_dict_or_None,
     opt_state_or_None, step, skipped)."""
     with open(path, "rb") as fh:
-        magic = fh.readline().decode().rstrip("\n")
+        magic = fh.readline().decode(errors="replace").rstrip("\n")
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(
                 f"{path}: unsupported checkpoint format/version "
                 f"(got {magic!r}, expected {CHECKPOINT_MAGIC!r})")
-        manifest = json.loads(fh.readline().decode())
-        tensors = {}
-        try:
-            for entry in manifest["tensors"]:
-                shape = tuple(entry["shape"])
-                n = int(np.prod(shape)) if shape else 1
-                buf = fh.read(n * 8)
-                if len(buf) != n * 8:
-                    raise CheckpointError(f"{path}: truncated tensor {entry['name']}")
-                tensors[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-            if fh.read(1):
-                raise CheckpointError(f"{path}: trailing bytes after the last tensor")
-            n_layers = 1
-            while f"dict{n_layers + 1}" in tensors:
-                n_layers += 1
-            params = ModelParams(
-                [tensors[f"dict{i}"] for i in range(1, n_layers + 1)],
-                [tensors[f"enc_b{i}"] for i in range(1, n_layers + 1)],
-                [tensors[f"dec_b{i}"] for i in range(2, n_layers + 1)],
-                tensors["beta"], tensors["gamma"],
-                manifest["activation"], manifest["block_rows"])
-            opt_state = None
-            if manifest.get("opt_step") is not None:
-                moments = {"adam_m": {}, "adam_v": {}}
-                for prefix, moment in moments.items():
-                    for n, p in params.param_items():
-                        moment[n] = tensors[f"{prefix}/{n}"]
-                        if moment[n].shape != p.shape:
-                            raise CheckpointError(f"{path}: tensor {prefix}/{n} has shape "
-                                                  f"{moment[n].shape}, its parameter {p.shape}")
-                opt_state = OptimizerState(*moments.values(), manifest["opt_step"])
-        except KeyError as exc:
-            raise CheckpointError(f"{path}: checkpoint lacks {exc}") from None
+        line, body = fh.readline(), fh.read()
+    try:
+        manifest = json.loads(line)
+        shapes = {e["name"]: e["shape"] for e in manifest["tensors"]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed manifest ({exc!r})") from None
+    for name, shape in shapes.items():
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise CheckpointError(f"{path}: tensor {name} has shape {shape!r}, expected "
+                                  "a list of non-negative integers")
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    if len(body) != 8 * sum(sizes):
+        raise CheckpointError(f"{path}: the manifest's tensors take {8 * sum(sizes)} bytes, "
+                              f"the body has {len(body)} (truncated, or trailing bytes)")
+    arrays = np.split(np.frombuffer(body, dtype="<f8"), np.cumsum(sizes)[:-1])
+    tensors = {name: a.reshape(shape) for (name, shape), a in zip(shapes.items(), arrays)}
+    try:
+        n_layers = 1
+        while f"dict{n_layers + 1}" in tensors:
+            n_layers += 1
+        params = ModelParams(
+            [tensors[f"dict{i}"] for i in range(1, n_layers + 1)],
+            [tensors[f"enc_b{i}"] for i in range(1, n_layers + 1)],
+            [tensors[f"dec_b{i}"] for i in range(2, n_layers + 1)],
+            tensors["beta"], tensors["gamma"],
+            manifest["activation"], manifest["block_rows"])
+        opt_state = None
+        if manifest.get("opt_step") is not None:
+            named = [(pre + n, p.shape) for pre in ("adam_m/", "adam_v/")
+                     for n, p in params.param_items()]
+            for name, shape in named:
+                if tensors[name].shape != shape:
+                    raise CheckpointError(f"{path}: tensor {name} has shape "
+                                          f"{tensors[name].shape}, its parameter {shape}")
+            moments = np.concatenate([tensors[name] for name, _ in named], axis=None)
+            opt_state = OptimizerState(*np.split(moments, 2), manifest["opt_step"])
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: checkpoint lacks {exc}") from None
     return (params, manifest.get("config"), opt_state,
             manifest.get("step", 0), manifest.get("skipped", 0))

@@ -16,7 +16,7 @@ Conventions
   matrix product with the batch folded into a dimension.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,6 +43,10 @@ class ModelParams:
     dec_thresholds: dec_thresholds[i] (length K_{i+1}) is applied in the
         decoder after multiplying by dictionaries[i+1], i = 0..N-2.
     beta: (r, 2) code-combiner weights; gamma: (K_N,) camera-combiner.
+
+    The constructor copies these arrays into one float64 vector `flat`, in
+    param_items order, and rebinds the fields above as views into it: an
+    in-place edit of either is an edit of both.
     """
 
     dictionaries: list
@@ -52,6 +56,7 @@ class ModelParams:
     gamma: np.ndarray
     activation: str = "relu"
     block_rows: int = 3
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
@@ -75,6 +80,12 @@ class ModelParams:
             raise ValueError("beta must be (block_rows, 2)")
         if self.gamma.shape != (widths[-1],):
             raise ValueError("gamma must have length K_N")
+        arrays = [a for _, a in self.param_items()]
+        self.flat = np.concatenate(arrays, axis=None, dtype=float)
+        views = iter(np.split(self.flat, np.cumsum([a.size for a in arrays])[:-1]))
+        self.dictionaries, self.enc_thresholds, self.dec_thresholds, (self.beta, self.gamma) = (
+            [next(views).reshape(a.shape) for a in group] for group in
+            (self.dictionaries, self.enc_thresholds, self.dec_thresholds, (self.beta, self.gamma)))
 
     @property
     def n_layers(self):
@@ -98,13 +109,7 @@ class ModelParams:
         return items
 
     def copy(self):
-        return ModelParams(
-            [D.copy() for D in self.dictionaries],
-            [b.copy() for b in self.enc_thresholds],
-            [b.copy() for b in self.dec_thresholds],
-            self.beta.copy(), self.gamma.copy(),
-            self.activation, self.block_rows,
-        )
+        return replace(self)
 
 
 def width_schedule(first, last, layers):

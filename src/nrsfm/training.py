@@ -63,14 +63,13 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    moment1: dict
-    moment2: dict
+    moment1: np.ndarray    # laid out like ModelParams.flat
+    moment2: np.ndarray
     step: int = 0
 
     @classmethod
     def zeros(cls, params):
-        return cls({n: np.zeros_like(a) for n, a in params.param_items()},
-                   {n: np.zeros_like(a) for n, a in params.param_items()}, 0)
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
 @dataclass
@@ -121,17 +120,15 @@ def adam_step(params, grads, state, lr):
     t = state.step
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    for name, p in params.param_items():
-        g = grads[name]
-        m = state.moment1[name]
-        v = state.moment2[name]
-        m *= ADAM_BETA1
-        m += (1 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1 - ADAM_BETA2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-        if name.startswith(("enc_b", "dec_b")):
-            np.maximum(p, 0.0, out=p)
+    g = np.concatenate([grads[name] for name, _ in params.param_items()], axis=None)
+    m, v = state.moment1, state.moment2
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * g * g
+    params.flat -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    for b in params.enc_thresholds + params.dec_thresholds:
+        np.maximum(b, 0.0, out=b)
     return params, state
 
 

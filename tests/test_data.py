@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from nrsfm.data import (CheckpointError, PlantedSpec, Scene, SceneFormatError,
                         normalize_scene, save_checkpoint, save_scene,
                         synth_planted)
 from nrsfm.model import decode
-from nrsfm.training import OptimizerState, TrainConfig, init_params
+from nrsfm.training import OptimizerState, TrainConfig, init_params, train
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "sample_scene.txt")
 
@@ -180,6 +181,9 @@ def test_scene_load_errors(tmp_path):
     path.write_text("not a scene\n")
     with pytest.raises(SceneFormatError):
         load_scene(path)
+    path.write_bytes(b"# nrsfm-scene v1\n\xff\xfe\x00binary\n")
+    with pytest.raises(SceneFormatError, match="bad.txt"):
+        load_scene(path)
     scene, _ = synth_planted(PlantedSpec(points=4, frames=2, seed=11,
                                          width_first=4, width_last=2))
     good = tmp_path / "good.txt"
@@ -336,9 +340,8 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     params = init_params(config, 7)
     opt = OptimizerState.zeros(params)
     rng = np.random.default_rng(13)
-    for name in opt.moment1:
-        opt.moment1[name] += rng.standard_normal(opt.moment1[name].shape)
-        opt.moment2[name] += rng.random(opt.moment2[name].shape)
+    opt.moment1 += rng.standard_normal(opt.moment1.shape)
+    opt.moment2 += rng.random(opt.moment2.shape)
     opt.step = 17
     path = tmp_path / "ck.bin"
     save_checkpoint(path, params, config=config, opt_state=opt, step=42,
@@ -351,9 +354,8 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert p2.block_rows == params.block_rows
     assert cfg2["width_first"] == 6
     assert opt2.step == 17
-    for name in opt.moment1:
-        assert np.array_equal(opt.moment1[name], opt2.moment1[name])
-        assert np.array_equal(opt.moment2[name], opt2.moment2[name])
+    assert np.array_equal(opt.moment1, opt2.moment1)
+    assert np.array_equal(opt.moment2, opt2.moment2)
     assert step == 42 and skipped == 3
 
 
@@ -396,13 +398,33 @@ def test_checkpoint_errors(tmp_path):
                         + blob[:offsets[k]] + blob[offsets[k + 1]:])
     with pytest.raises(CheckpointError, match="beta"):
         load_checkpoint(lacking)
+    # manifests that are not JSON, not an object or without a tensor list,
+    # and shapes that are not lists of non-negative integers (a truncated
+    # 2.5 would match gamma's true size of 2)
+    full = json.loads(manifest)
+    lines = [b"{not json", b"[]", json.dumps(dict(full, tensors=5)).encode()]
+    lines += [json.dumps(dict(full, tensors=[dict(e, shape=shape) if e["name"] == "gamma"
+                                             else e for e in entries])).encode()
+              for shape in ([-1], "ab", [2.5])]
+    for i, line in enumerate(lines):
+        malformed = tmp_path / f"malformed{i}.bin"
+        malformed.write_bytes(magic + b"\n" + line + b"\n" + blob)
+        with pytest.raises(CheckpointError, match=f"malformed{i}.bin"):
+            load_checkpoint(malformed)
 
 
 def test_checkpoint_rejects_moment_of_wrong_shape(tmp_path):
     params = init_params(TrainConfig(width_first=4, width_last=2), 5)
-    opt = OptimizerState.zeros(params)
-    opt.moment1["gamma"] = np.zeros((2, 8))
-    save_checkpoint(tmp_path / "ck.bin", params, opt_state=opt)
+    save_checkpoint(tmp_path / "ck.bin", params, opt_state=OptimizerState.zeros(params))
+    # the gamma moment rewritten as (2, 8) zeros in the manifest and the body
+    magic, manifest, blob = (tmp_path / "ck.bin").read_bytes().split(b"\n", 2)
+    man = json.loads(manifest)
+    entries = man["tensors"]
+    k = [e["name"] for e in entries].index("adam_m/gamma")
+    start = 8 * sum(int(np.prod(e["shape"])) for e in entries[:k])
+    entries[k]["shape"] = [2, 8]
+    blob = blob[:start] + np.zeros(16).tobytes() + blob[start + 8 * params.gamma.size:]
+    (tmp_path / "ck.bin").write_bytes(magic + b"\n" + json.dumps(man).encode() + b"\n" + blob)
     with pytest.raises(CheckpointError, match="adam_m/gamma"):
         load_checkpoint(tmp_path / "ck.bin")
 
@@ -423,6 +445,31 @@ def test_generation_bytes_are_pinned(tmp_path):
         "scene.txt": "a025f80296f63f74c3a4c5d8bae38e51d863fb209cfe72a88477d993680e39c0",
         "planted.ckpt": "51d6d8a3895eb5f08671b2e2fa212ffc9851b429bb65d07ce443790e8efad317",
         "init.ckpt": "e5cd529c27d3f8141996155c8b291c62782b099f8de7e1636fb6f8416a79f8c3",
+    }
+
+
+def test_training_bytes_are_pinned(tmp_path):
+    """A short training run's checkpoint, Adam moments included, and that
+    of a run resumed from it keep the bytes they had before the parameters
+    and moments moved into flat vectors."""
+    scene, _ = synth_planted(PlantedSpec(
+        points=6, frames=12, layers=3, width_first=5, width_last=2, sparsity=1,
+        camera_mode="weak_perspective", noise_ratio=0.05, max_missing=2, seed=8))
+    scene = normalize_scene(scene)
+    config = TrainConfig(layers=3, width_first=5, width_last=2, activation="soft",
+                         translation=True, batch_size=4, total_steps=40, eval_interval=20)
+    half = train(scene, replace(config, total_steps=20), verbose=False)
+    save_checkpoint(tmp_path / "half.ckpt", half.params, config=config,
+                    opt_state=half.opt_state, step=20, skipped=half.skipped)
+    params, _, opt_state, step, skipped = load_checkpoint(tmp_path / "half.ckpt")
+    resumed = train(scene, config, init=(params, opt_state, step, skipped), verbose=False)
+    save_checkpoint(tmp_path / "resumed.ckpt", resumed.params, config=config,
+                    opt_state=resumed.opt_state, step=40, skipped=resumed.skipped)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("half.ckpt", "resumed.ckpt")}
+    assert digests == {
+        "half.ckpt": "b3de4587f483f4e93c97449948416e9ba08f63da36f2513cca581a2552dbfac8",
+        "resumed.ckpt": "c754c45ac992ee1df40131801df07d46265dfed7f706fa79dfec59ab348bffd1",
     }
 
 

@@ -35,6 +35,56 @@ def test_params_validation():
                     p.beta, p.gamma)
 
 
+def test_params_share_one_flat_vector():
+    """The constructor copies its arrays into params.flat in param_items
+    order and makes the fields views into it: an in-place edit of a field,
+    or of a param_items array's ravel(), edits flat and moves the loss.
+    Finite differences and Adam rely on this; copy() shares nothing."""
+    rng = np.random.default_rng(40)
+    widths = (6, 4, 3)
+    dicts = [rng.standard_normal((5, 18)), rng.standard_normal((6, 4)),
+             rng.standard_normal((4, 3))]
+    enc = [np.full(k, 0.05) for k in widths]
+    dec = [np.full(k, 0.05) for k in widths[:-1]]
+    inputs = dicts + enc + dec + [default_beta(3), default_gamma(3)]
+    params = ModelParams(dicts, enc, dec, *inputs[-2:])
+    assert params.flat.dtype == np.float64
+    assert np.array_equal(params.flat, np.concatenate([a.ravel() for a in inputs]))
+    assert not any(np.shares_memory(params.flat, a) for a in inputs)
+    dicts[0][0, 0] += 1.0
+    assert params.dictionaries[0][0, 0] == dicts[0][0, 0] - 1.0
+
+    W = rng.standard_normal((6, 5, 2))
+    vis = np.ones((6, 5), dtype=bool)
+
+    def total():
+        losses, valid, _ = forward_batch(W, vis, params)
+        return losses[valid].sum()
+
+    k = sum(D.size for D in params.dictionaries)    # where enc_b1 starts
+    before = total()
+    params.enc_thresholds[0][0] += 0.5
+    assert params.flat[k] == 0.05 + 0.5 and total() != before
+    grads = backward_batch(forward_batch(W, vis, params)[2], params)
+    offset = 0
+    for name, arr in params.param_items():
+        j = int(np.argmax(np.abs(grads[name].ravel())))    # an entry the loss depends on
+        flat_before, before = params.flat.copy(), total()
+        arr.ravel()[j] += 0.25
+        assert np.flatnonzero(params.flat != flat_before).tolist() == [offset + j], name
+        assert total() != before, name
+        offset += arr.size
+    assert offset == params.flat.size
+
+    dup = params.copy()
+    assert np.array_equal(dup.flat, params.flat)
+    assert not np.shares_memory(dup.flat, params.flat)
+    assert all(np.shares_memory(a, dup.flat) for _, a in dup.param_items())
+    dup.dictionaries[1][0, 0] += 1.0
+    dup.beta[0, 0] += 1.0
+    assert np.count_nonzero(dup.flat != params.flat) == 2
+
+
 def test_encode_single_linear_layer():
     # all thresholds zero, soft mode, one layer: pure matrix multiply
     rng = np.random.default_rng(1)
