@@ -335,6 +335,11 @@ def load_scene(path):
 # ---------------------------------------------------------------------------
 # checkpoint IO
 
+def _tensor_entries(params, prefixes):
+    return [{"name": prefix + n, "shape": list(a.shape)}
+            for prefix in prefixes for n, a in params.param_items()]
+
+
 def save_checkpoint(path, params, config=None, opt_state=None, step=0,
                     skipped=0):
     """Write params (+ optional training config / optimizer state) to a
@@ -348,9 +353,7 @@ def save_checkpoint(path, params, config=None, opt_state=None, step=0,
         "skipped": int(skipped),
         "config": None if config is None else asdict(config),
         "opt_step": None if opt_state is None else int(opt_state.step),
-        "tensors": [{"name": prefix + n, "shape": list(a.shape)}
-                    for prefix in ("", "adam_m/", "adam_v/")[:len(blobs)]
-                    for n, a in params.param_items()],
+        "tensors": _tensor_entries(params, ("", "adam_m/", "adam_v/")[:len(blobs)]),
     }
     with open(path, "wb") as fh:
         fh.write((CHECKPOINT_MAGIC + "\n").encode())
@@ -373,6 +376,13 @@ def load_checkpoint(path):
         shapes = {e["name"]: e["shape"] for e in manifest["tensors"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed manifest ({exc!r})") from None
+    for key in ("step", "skipped", "opt_step"):
+        value = manifest.get(key, 0)
+        if not (type(value) is int and value >= 0 or key == "opt_step" and value is None):
+            raise CheckpointError(f"{path}: {key} is {value!r}, expected a non-negative integer")
+    if not isinstance(manifest.get("config"), (dict, type(None))):
+        raise CheckpointError(f"{path}: config is {manifest['config']!r}, "
+                              "expected a JSON object or null")
     for name, shape in shapes.items():
         if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
             raise CheckpointError(f"{path}: tensor {name} has shape {shape!r}, expected "
@@ -393,17 +403,17 @@ def load_checkpoint(path):
             [tensors[f"dec_b{i}"] for i in range(2, n_layers + 1)],
             tensors["beta"], tensors["gamma"],
             manifest["activation"], manifest["block_rows"])
-        opt_state = None
-        if manifest.get("opt_step") is not None:
-            named = [(pre + n, p.shape) for pre in ("adam_m/", "adam_v/")
-                     for n, p in params.param_items()]
-            for name, shape in named:
-                if tensors[name].shape != shape:
-                    raise CheckpointError(f"{path}: tensor {name} has shape "
-                                          f"{tensors[name].shape}, its parameter {shape}")
-            moments = np.concatenate([tensors[name] for name, _ in named], axis=None)
-            opt_state = OptimizerState(*np.split(moments, 2), manifest["opt_step"])
     except KeyError as exc:
         raise CheckpointError(f"{path}: checkpoint lacks {exc}") from None
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    opt_state = None
+    if manifest.get("opt_step") is not None:
+        want = _tensor_entries(params, ("adam_m/", "adam_v/"))
+        if (have := manifest["tensors"][-len(want):]) != want:
+            bad = next(w for k, w in enumerate(want) if have[k:k + 1] != [w])
+            raise CheckpointError(f"{path}: expected tensor {bad['name']}, shape {bad['shape']}")
+        moments = np.frombuffer(body, dtype="<f8")[-2 * params.flat.size:].reshape(2, -1)
+        opt_state = OptimizerState(*moments.copy(), manifest["opt_step"])
     return (params, manifest.get("config"), opt_state,
             manifest.get("step", 0), manifest.get("skipped", 0))

@@ -17,6 +17,7 @@ Conventions
 """
 
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -46,7 +47,8 @@ class ModelParams:
 
     The constructor copies these arrays into one float64 vector `flat`, in
     param_items order, and rebinds the fields above as views into it: an
-    in-place edit of either is an edit of both.
+    in-place edit of either is an edit of both.  params[name] is the view
+    param_items names.  backward_batch returns gradients in this layout.
     """
 
     dictionaries: list
@@ -63,6 +65,8 @@ class ModelParams:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.block_rows not in (3, 4):
             raise ValueError("block_rows must be 3 or 4")
+        if not self.dictionaries or any(np.ndim(D) != 2 for D in self.dictionaries):
+            raise ValueError("need at least one dictionary, each a 2-D matrix")
         if self.dictionaries[0].shape[1] % 3 != 0:
             raise ValueError("first dictionary must have 3*K1 columns")
         widths = self.widths
@@ -81,8 +85,8 @@ class ModelParams:
         if self.gamma.shape != (widths[-1],):
             raise ValueError("gamma must have length K_N")
         arrays = [a for _, a in self.param_items()]
-        self.flat = np.concatenate(arrays, axis=None, dtype=float)
-        views = iter(np.split(self.flat, np.cumsum([a.size for a in arrays])[:-1]))
+        flat = self.flat = np.concatenate(arrays, axis=None, dtype=float)
+        views = (flat[e - a.size:e] for a, e in zip(arrays, accumulate(a.size for a in arrays)))
         self.dictionaries, self.enc_thresholds, self.dec_thresholds, (self.beta, self.gamma) = (
             [next(views).reshape(a.shape) for a in group] for group in
             (self.dictionaries, self.enc_thresholds, self.dec_thresholds, (self.beta, self.gamma)))
@@ -107,6 +111,9 @@ class ModelParams:
         items += [(f"dec_b{i + 2}", b) for i, b in enumerate(self.dec_thresholds)]
         items += [("beta", self.beta), ("gamma", self.gamma)]
         return items
+
+    def __getitem__(self, name):
+        return dict(self.param_items())[name]
 
     def copy(self):
         return replace(self)
@@ -165,7 +172,7 @@ def _threshold_vjp(g, v, b, activation):
     return g * on, g * db
 
 
-def _atom_rows(params):
+def atom_rows(params):
     """The first dictionary as a K1 x 3P matrix: row k is atom k's P x 3
     point cloud, flattened."""
     P, K1 = params.point_count, params.widths[0]
@@ -213,7 +220,7 @@ def _decoder(psiN, params):
         u = phi @ params.dictionaries[d].T
         records.append((d, phi, u))
         phi = threshold(u, params.dec_thresholds[d - 1], params.activation)
-    return (phi @ _atom_rows(params)).reshape(len(phi), -1, 3), phi, records
+    return (phi @ atom_rows(params)).reshape(len(phi), -1, 3), phi, records
 
 
 def forward_batch(W, vis, params):
@@ -251,10 +258,9 @@ def forward_batch(W, vis, params):
     losses = np.sqrt(np.sum(resid * resid, axis=(1, 2)) + LOSS_SMOOTHING)
 
     cache = {
-        "W": W, "vis": vis, "Xt": Xt, "pre_acts": pre_acts, "blocks": blocks,
-        "psiN": psiN, "Mraw": Mraw, "U": U, "s": s, "Vt": Vt, "Q": Q,
-        "dec_records": dec_records, "phi1": phi, "S": S, "eps": eps,
-        "t_hat": t_hat, "What": What, "resid": resid, "losses": losses,
+        "Xt": Xt, "pre_acts": pre_acts, "blocks": blocks, "psiN": psiN, "Mraw": Mraw,
+        "U": U, "s": s, "Vt": Vt, "Q": Q, "dec_records": dec_records, "phi1": phi, "S": S,
+        "eps": eps, "t_hat": t_hat, "What": What, "resid": resid, "losses": losses,
         "valid": valid,
     }
     return losses, valid, cache
@@ -292,50 +298,45 @@ def polar_vjp(U, s, Vt, gQ):
 
 
 def backward_batch(cache, params):
-    """Exact gradient of the summed loss over valid frames with respect to
-    every parameter.  Returns a dict keyed like param_items().  Raises
-    FloatingPointError if any gradient entry is non-finite, naming the
-    parameter group."""
+    """Exact gradient of the summed loss over valid frames, laid out like
+    params: a ModelParams, indexable by param_items name.  Raises
+    FloatingPointError naming the first group with a non-finite entry."""
     act = params.activation
-    r = params.block_rows
 
-    weight = cache["valid"].astype(float)
-    gWhat = (-cache["resid"] / cache["losses"][:, None, None]) * weight[:, None, None]
+    gWhat = -cache["resid"] / cache["losses"][:, None, None] * cache["valid"][:, None, None]
 
     S, Q, Mraw = cache["S"], cache["Q"], cache["Mraw"]
     gS = (gWhat @ np.swapaxes(Q, 1, 2)).reshape(len(S), -1)
     gQ = np.swapaxes(S, 1, 2) @ gWhat
     gMraw = np.zeros_like(Mraw)
-    g_eps = None
-    if r == 4:
-        gt = gWhat.sum(axis=1)
-        g_eps = np.sum(gt * Mraw[:, 3, :], axis=1)
-        gMraw[:, 3, :] = cache["eps"][:, None] * gt
     gMraw[:, :3, :] = polar_vjp(cache["U"], cache["s"], cache["Vt"], gQ)
 
-    grads = {name: np.zeros_like(arr) for name, arr in params.param_items()}
+    grads = params.copy()
+    grads.flat[:] = 0.0
 
-    # decoder final (linear) layer
+    # decoder final (linear) layer, and with 4-row blocks t_hat = sum(phi1) * Mraw[3]
     phi1 = cache["phi1"]
     P, K1 = params.point_count, params.widths[0]
-    gphi = gS @ _atom_rows(params).T
-    grads["dict1"] += (phi1.T @ gS).reshape(K1, P, 3).transpose(1, 0, 2).reshape(P, 3 * K1)
-    if r == 4:
-        gphi = gphi + g_eps[:, None]
+    gphi = gS @ atom_rows(params).T
+    grads.dictionaries[0] += (phi1.T @ gS).reshape(K1, P, 3).transpose(1, 0, 2).reshape(P, 3 * K1)
+    if params.block_rows == 4:
+        gt = gWhat.sum(axis=1)
+        gphi = gphi + np.sum(gt * Mraw[:, 3, :], axis=1)[:, None]
+        gMraw[:, 3, :] = cache["eps"][:, None] * gt
 
     # decoder thresholded layers, the last one applied first
     for d, phi_in, u in reversed(cache["dec_records"]):
         gu, gb = _threshold_vjp(gphi, u, params.dec_thresholds[d - 1], act)
-        grads[f"dec_b{d + 1}"] += gb.sum(axis=0)
-        grads[f"dict{d + 1}"] += gu.T @ phi_in
+        grads.dec_thresholds[d - 1] += gb.sum(axis=0)
+        grads.dictionaries[d] += gu.T @ phi_in
         gphi = gu @ params.dictionaries[d]
     gpsiN = gphi
 
     # bottleneck
     blocksN = cache["blocks"][-1]
     gMraw_t = gMraw.transpose(1, 0, 2)
-    grads["beta"] += np.tensordot(gpsiN.T, blocksN, axes=([0, 1], [0, 2]))
-    grads["gamma"] += blocksN.reshape(len(blocksN), -1) @ gMraw_t.ravel()
+    grads.beta += np.tensordot(gpsiN.T, blocksN, axes=([0, 1], [0, 2]))
+    grads.gamma += blocksN.reshape(len(blocksN), -1) @ gMraw_t.ravel()
     gPsi = (params.beta[:, None, :] * gpsiN.T[:, None, :, None]
             + params.gamma[:, None, None, None] * gMraw_t)
 
@@ -343,17 +344,17 @@ def backward_batch(cache, params):
     for d in range(params.n_layers - 1, -1, -1):
         gV, gb = _threshold_vjp(gPsi, cache["pre_acts"][d],
                                 params.enc_thresholds[d][:, None, None, None], act)
-        grads[f"enc_b{d + 1}"] += gb.sum(axis=(1, 2, 3))
+        grads.enc_thresholds[d] += gb.sum(axis=(1, 2, 3))
         if d:
             gV2 = gV.reshape(len(gV), -1)
             prev = cache["blocks"][d - 1]
-            grads[f"dict{d + 1}"] += prev.reshape(len(prev), -1) @ gV2.T
+            grads.dictionaries[d] += prev.reshape(len(prev), -1) @ gV2.T
             gPsi = (params.dictionaries[d] @ gV2).reshape(prev.shape)
-    grads["dict1"] += cache["Xt"] @ gV[:, :3].reshape(3 * K1, -1).T
+    grads.dictionaries[0] += cache["Xt"] @ gV[:, :3].reshape(3 * K1, -1).T
 
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in parameter group {name!r}")
+    if not np.all(np.isfinite(grads.flat)):
+        name = next(n for n, g in grads.param_items() if not np.all(np.isfinite(g)))
+        raise FloatingPointError(f"non-finite gradient in parameter group {name!r}")
     return grads
 
 

@@ -99,7 +99,8 @@ def init_params(config, point_count, seed=None):
 
 def gradients(params, measurements, masks):
     """Exact gradient of the summed loss over the batch (or one frame) with
-    respect to every parameter.  Rank-deficient frames contribute nothing.
+    respect to every parameter, laid out like params (a ModelParams; index
+    it by param_items name).  Rank-deficient frames contribute nothing.
     Raises FloatingPointError if any gradient entry is non-finite, naming
     the parameter group."""
     measurements = np.asarray(measurements, dtype=float)
@@ -114,14 +115,12 @@ def gradients(params, measurements, masks):
 
 def adam_step(params, grads, state, lr):
     """Standard Adam update (beta1 0.9, beta2 0.999, eps 1e-8) with
-    threshold non-negativity projection.  Updates in place and returns
-    (params, state)."""
+    threshold non-negativity projection, for grads laid out like params (as
+    gradients returns them).  Updates in place and returns (params, state)."""
     state.step += 1
-    t = state.step
-    c1 = 1.0 - ADAM_BETA1 ** t
-    c2 = 1.0 - ADAM_BETA2 ** t
-    g = np.concatenate([grads[name] for name, _ in params.param_items()], axis=None)
-    m, v = state.moment1, state.moment2
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
+    g, m, v = grads.flat, state.moment1, state.moment2
     m *= ADAM_BETA1
     m += (1 - ADAM_BETA1) * g
     v *= ADAM_BETA2
@@ -145,9 +144,8 @@ def last_dictionary_atoms(params):
     flattened to 3P-vectors."""
     if params.n_layers > 1:
         return params.dictionaries[-1]
-    P = params.point_count
-    K1 = params.widths[0]
-    return params.dictionaries[0].reshape(P, K1, 3).transpose(0, 2, 1).reshape(3 * P, K1)
+    # C order: on the transposed view mutual_coherence's products round differently
+    return np.ascontiguousarray(mdl.atom_rows(params).T)
 
 
 def _denorm_scales(scene):

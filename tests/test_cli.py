@@ -1,4 +1,5 @@
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -308,3 +309,34 @@ def test_train_resume_past_total_steps_fails_cleanly(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: resume:")
     assert not os.path.exists(ck2)
     assert not os.path.exists(h2)
+
+
+def test_bad_checkpoint_manifest_fails_cleanly(tmp_path, capsys):
+    """Manifest fields are outside input: a step, skipped count or optimizer
+    step that is not a non-negative integer, a config that is not an object
+    and a tensor of the wrong rank each end in `error: <path>: ...` with exit
+    1, and the command leaves no output file."""
+    scene = _make_scene(tmp_path)
+    ck, h = str(tmp_path / "m.ck"), str(tmp_path / "m.csv")
+    assert _run(["train", scene, "--checkpoint", ck, "--history", h] + _TRAIN_FLAGS) == 0
+    magic, manifest, body = open(ck, "rb").read().split(b"\n", 2)
+    man = json.loads(manifest)
+    flat_dict1 = [dict(e, shape=[8 * 18]) if e["name"] == "dict1" else e
+                  for e in man["tensors"]]
+    edits = [("step", "abc"), ("skipped", "a"), ("opt_step", "x"), ("config", [1]),
+             ("tensors", flat_dict1)]
+    ck2, h2, rec = (str(tmp_path / name) for name in ("m2.ck", "m2.csv", "rec.txt"))
+    for i, (key, value) in enumerate(edits):
+        bad = str(tmp_path / f"bad{i}.ck")
+        with open(bad, "wb") as fh:
+            fh.write(magic + b"\n" + json.dumps(dict(man, **{key: value})).encode()
+                     + b"\n" + body)
+        for argv, outputs in (
+                (["train", scene, "--checkpoint", ck2, "--history", h2, "--resume", bad]
+                 + _TRAIN_FLAGS + ["--total-steps", "80"], [ck2, h2]),
+                (["reconstruct", scene, bad, "--out", rec], [rec]),
+                (["evaluate", "--coherence", bad], [])):
+            capsys.readouterr()
+            assert _run(argv) == 1, (key, argv[0])
+            assert capsys.readouterr().err.startswith(f"error: {bad}: "), (key, argv[0])
+            assert not any(os.path.exists(p) for p in outputs), (key, argv[0])

@@ -406,6 +406,15 @@ def test_checkpoint_errors(tmp_path):
     lines += [json.dumps(dict(full, tensors=[dict(e, shape=shape) if e["name"] == "gamma"
                                              else e for e in entries])).encode()
               for shape in ([-1], "ab", [2.5])]
+    # scalars that are not non-negative integers and a config that is not an
+    # object; a block_rows the model rejects; dict1 ([5, 12]) given as [60],
+    # the same byte count at the wrong rank
+    lines += [json.dumps(dict(full, **{key: value})).encode()
+              for key, value in (("step", "abc"), ("step", -1), ("step", 1.0), ("skipped", "a"),
+                                 ("opt_step", "x"), ("opt_step", True), ("config", [1]),
+                                 ("config", "x"), ("block_rows", "3"))]
+    lines.append(json.dumps(dict(full, tensors=[dict(e, shape=[60]) if e["name"] == "dict1"
+                                                else e for e in entries])).encode())
     for i, line in enumerate(lines):
         malformed = tmp_path / f"malformed{i}.bin"
         malformed.write_bytes(magic + b"\n" + line + b"\n" + blob)

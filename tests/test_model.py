@@ -33,6 +33,10 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(bad_dicts, p.enc_thresholds, p.dec_thresholds,
                     p.beta, p.gamma)
+    # a first dictionary of the right size but flattened to one axis
+    with pytest.raises(ValueError, match="2-D"):
+        ModelParams([p.dictionaries[0].ravel(), p.dictionaries[1]], p.enc_thresholds,
+                    p.dec_thresholds, p.beta, p.gamma)
 
 
 def test_params_share_one_flat_vector():
@@ -83,6 +87,35 @@ def test_params_share_one_flat_vector():
     dup.dictionaries[1][0, 0] += 1.0
     dup.beta[0, 0] += 1.0
     assert np.count_nonzero(dup.flat != params.flat) == 2
+
+
+def test_backward_batch_names_first_non_finite_group():
+    """One finiteness scan over grads.flat; the error names the first group,
+    in param_items order, that holds a non-finite entry.  (A NaN in the
+    measurements themselves already stops the forward pass at the camera's
+    SVD, so the non-finite values are put into the cache that backward_batch
+    reads.)"""
+    rng = np.random.default_rng(41)
+    params = _random_params(rng, P=5, widths=(6, 3), thresholds=0.02)
+    W = rng.standard_normal((3, 5, 2))
+    vis = np.ones((3, 5), dtype=bool)
+    vis[1, 2] = False
+    clean = backward_batch(forward_batch(W, vis, params)[2], params)
+    # a NaN on a hidden point is masked out of the gradient
+    W[1, 2, 0] = np.nan
+    hidden = backward_batch(forward_batch(W, vis, params)[2], params)
+    assert np.array_equal(hidden.flat, clean.flat)
+    # a NaN on a visible point of the encoder's input reaches dict1 only
+    _, _, cache = forward_batch(W, vis, params)
+    cache["Xt"][0, 0] = np.nan
+    with pytest.raises(FloatingPointError, match="'dict1'"):
+        backward_batch(cache, params)
+    # an infinite final code reaches beta and gamma, which come after the
+    # finite dictionaries and thresholds
+    _, _, cache = forward_batch(W, vis, params)
+    cache["blocks"][-1][0, 0, 0, 0] = np.inf
+    with pytest.raises(FloatingPointError, match="'beta'"):
+        backward_batch(cache, params)
 
 
 def test_encode_single_linear_layer():
@@ -463,18 +496,18 @@ def test_batch_axis_matches_single_frames(layers, block_rows, activation):
     vis = rng.random((B, 7)) > 0.25
     losses, valid, cache = forward_batch(W, vis, params)
     grads = backward_batch(cache, params)
-    summed = {name: np.zeros_like(g) for name, g in grads.items()}
+    summed = {name: np.zeros_like(g) for name, g in grads.param_items()}
     for f in range(B):
         l1, v1, c1 = forward_batch(W[f:f + 1], vis[f:f + 1], params)
         assert v1[0] == valid[f]
         assert _rel_close(losses[f:f + 1], l1)
         assert _rel_close(cache["S"][f], c1["S"][0])
         assert _rel_close(cache["Q"][f], c1["Q"][0])
-        for name, g in backward_batch(c1, params).items():
+        for name, g in backward_batch(c1, params).param_items():
             summed[name] += g
         if block_rows == 3:
             D1X = block_ista_step(W[f], params.dictionaries[0], np.zeros(6),
                                   mask=vis[f])
             assert _rel_close(cache["pre_acts"][0][:, :, f], D1X)
-    for name, g in grads.items():
+    for name, g in grads.param_items():
         assert _rel_close(g, summed[name]), name

@@ -123,8 +123,28 @@ def test_gradients_double_batch_doubles_gradient():
     params, W, vis = _random_instance(rng)
     g1 = gradients(params, W, vis)
     g2 = gradients(params, np.concatenate([W, W]), np.concatenate([vis, vis]))
-    for name in g1:
+    for name, _ in g1.param_items():
         assert np.allclose(2 * g1[name], g2[name], atol=1e-12)
+
+
+def test_gradients_index_views_of_one_flat_vector():
+    """gradients returns a ModelParams laid out like params: grads[name], for
+    each param_items name, is the view of grads.flat at that name's offset."""
+    rng = np.random.default_rng(2)
+    for layers in (1, 2, 3):
+        params, W, vis = _random_instance(rng, layers=layers)
+        grads = gradients(params, W, vis)
+        start = grads.flat.__array_interface__["data"][0]
+        offset = 0
+        for name, arr in params.param_items():
+            g = grads[name]
+            assert g.shape == arr.shape and g.flags.c_contiguous, name
+            assert g.__array_interface__["data"][0] == start + 8 * offset, name
+            assert np.shares_memory(g, grads.flat), name
+            offset += arr.size
+        assert offset == grads.flat.size
+        with pytest.raises(KeyError):
+            grads["dict9"]
 
 
 def test_gradients_empty_batch_rejected():
@@ -164,7 +184,8 @@ def test_adam_single_step_closed_form():
     cfg = _small_config()
     params = init_params(cfg, 5)
     state = OptimizerState.zeros(params)
-    grads = {n: np.full_like(a, 0.25) for n, a in params.param_items()}
+    grads = params.copy()
+    grads.flat[:] = 0.25
     before = {n: a.copy() for n, a in params.param_items()}
     lr = 0.01
     adam_step(params, grads, state, lr)
@@ -185,7 +206,8 @@ def test_adam_zero_gradient_keeps_params():
     params = init_params(cfg, 5)
     state = OptimizerState.zeros(params)
     before = {n: a.copy() for n, a in params.param_items()}
-    grads = {n: np.zeros_like(a) for n, a in params.param_items()}
+    grads = params.copy()
+    grads.flat[:] = 0.0
     adam_step(params, grads, state, 0.01)
     for name, arr in params.param_items():
         assert np.array_equal(arr, before[name])
@@ -195,7 +217,8 @@ def test_adam_clamps_thresholds():
     cfg = _small_config()
     params = init_params(cfg, 5)
     state = OptimizerState.zeros(params)
-    grads = {n: np.zeros_like(a) for n, a in params.param_items()}
+    grads = params.copy()
+    grads.flat[:] = 0.0
     grads["enc_b1"][:] = 1.0   # pushes the zero threshold negative
     adam_step(params, grads, state, 0.5)
     assert np.all(params.enc_thresholds[0] == 0.0)
