@@ -16,13 +16,14 @@ Conventions
   matrix product with the batch folded into a dimension.
 """
 
+from copy import copy as shallow_copy
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
 
-from .geometry import CameraWeak, polar_factor
-from .sparse import ACTIVATIONS, active_mask, threshold
+from .geometry import CameraWeak, _frame_label, polar_factor
+from .sparse import ACTIVATIONS, threshold
 
 LOSS_SMOOTHING = 1e-12
 HOMOGENEOUS_EPS = 1e-6
@@ -80,16 +81,23 @@ class ModelParams:
         for i, b in enumerate(self.dec_thresholds):
             if b.shape != (widths[i],):
                 raise ValueError(f"decoder threshold {i + 2} has wrong length")
+        if any(np.any(b < 0) for b in self.enc_thresholds + self.dec_thresholds):
+            raise ValueError("thresholds must be non-negative")
         if self.beta.shape != (self.block_rows, 2):
             raise ValueError("beta must be (block_rows, 2)")
         if self.gamma.shape != (widths[-1],):
             raise ValueError("gamma must have length K_N")
-        arrays = [a for _, a in self.param_items()]
-        flat = self.flat = np.concatenate(arrays, axis=None, dtype=float)
+        self._bind(np.concatenate([a for _, a in self.param_items()], axis=None, dtype=float))
+
+    def _bind(self, flat):
+        """Take flat as the parameter vector, in param_items order, and
+        rebind the fields as views into it."""
+        groups = (self.dictionaries, self.enc_thresholds, self.dec_thresholds, (self.beta, self.gamma))
+        arrays = [a for group in groups for a in group]
         views = (flat[e - a.size:e] for a, e in zip(arrays, accumulate(a.size for a in arrays)))
         self.dictionaries, self.enc_thresholds, self.dec_thresholds, (self.beta, self.gamma) = (
-            [next(views).reshape(a.shape) for a in group] for group in
-            (self.dictionaries, self.enc_thresholds, self.dec_thresholds, (self.beta, self.gamma)))
+            [next(views).reshape(a.shape) for a in group] for group in groups)
+        self.flat = flat
 
     @property
     def n_layers(self):
@@ -115,8 +123,18 @@ class ModelParams:
     def __getitem__(self, name):
         return dict(self.param_items())[name]
 
+    def __iter__(self):
+        """The param_items names, so that params[name] follows."""
+        return (name for name, _ in self.param_items())
+
     def copy(self):
         return replace(self)
+
+    def zeros_like(self):
+        """Zeros in this layout, with none of the constructor's checks."""
+        zeros = shallow_copy(self)
+        zeros._bind(np.zeros_like(self.flat))
+        return zeros
 
 
 def width_schedule(first, last, layers):
@@ -164,12 +182,15 @@ class ForwardOutput:
     loss_value: float
 
 
-def _threshold_vjp(g, v, b, activation):
-    """Pull g back through threshold(v, b, activation): returns the gradient
-    for v and the per-entry gradient for b."""
-    on = active_mask(v, b, activation)
-    db = np.where(on, -1.0 if activation == "relu" else -np.sign(v), 0.0)
-    return g * on, g * db
+def _threshold_vjp(g, out, activation):
+    """Pull g back through out = threshold(v, b, activation), reading which
+    entries pass through off the stored output: returns the gradient for v
+    and the per-entry gradient for -b."""
+    if activation == "relu":
+        gv = g * (out > 0)
+        return gv, gv
+    s = np.sign(out)
+    return g * (s != 0), g * s
 
 
 def atom_rows(params):
@@ -212,14 +233,14 @@ def _bottleneck(PsiN, params):
 def _decoder(psiN, params):
     """Decoder from codes (B, K_N) to shapes (B, P, 3); the final layer is
     purely linear.  Returns (S, phi1, records), records holding (dictionary
-    index, input, pre-activation) of each thresholded layer in the order
-    the layers are applied."""
+    index, input, output) of each thresholded layer in the order the layers
+    are applied."""
     phi = psiN
     records = []
     for d in range(params.n_layers - 1, 0, -1):
         u = phi @ params.dictionaries[d].T
-        records.append((d, phi, u))
-        phi = threshold(u, params.dec_thresholds[d - 1], params.activation)
+        records.append((d, phi, threshold(u, params.dec_thresholds[d - 1], params.activation)))
+        phi = records[-1][-1]
     return (phi @ atom_rows(params)).reshape(len(phi), -1, 3), phi, records
 
 
@@ -241,6 +262,10 @@ def forward_batch(W, vis, params):
         raise ValueError(f"forward_batch: model has {P} points, W has {W.shape[1]}")
 
     Xt = np.where(vis[:, :, None], W, 0.0).transpose(1, 0, 2).reshape(P, -1)
+    if not np.isfinite(Xt).all():
+        bad = (vis[:, :, None] & ~np.isfinite(W)).any(axis=(1, 2))
+        raise ValueError("forward_batch: non-finite measurement at a visible point"
+                         + _frame_label(bad))
     pre_acts, blocks = _encoder(Xt, params)
     psiN, Mraw = _bottleneck(blocks[-1], params)
     Q, U, s, Vt, valid = polar_factor(Mraw[:, :3, :])
@@ -311,8 +336,7 @@ def backward_batch(cache, params):
     gMraw = np.zeros_like(Mraw)
     gMraw[:, :3, :] = polar_vjp(cache["U"], cache["s"], cache["Vt"], gQ)
 
-    grads = params.copy()
-    grads.flat[:] = 0.0
+    grads = params.zeros_like()
 
     # decoder final (linear) layer, and with 4-row blocks t_hat = sum(phi1) * Mraw[3]
     phi1 = cache["phi1"]
@@ -325,9 +349,9 @@ def backward_batch(cache, params):
         gMraw[:, 3, :] = cache["eps"][:, None] * gt
 
     # decoder thresholded layers, the last one applied first
-    for d, phi_in, u in reversed(cache["dec_records"]):
-        gu, gb = _threshold_vjp(gphi, u, params.dec_thresholds[d - 1], act)
-        grads.dec_thresholds[d - 1] += gb.sum(axis=0)
+    for d, phi_in, out in reversed(cache["dec_records"]):
+        gu, gnb = _threshold_vjp(gphi, out, act)
+        grads.dec_thresholds[d - 1] -= gnb.sum(axis=0)
         grads.dictionaries[d] += gu.T @ phi_in
         gphi = gu @ params.dictionaries[d]
     gpsiN = gphi
@@ -342,9 +366,8 @@ def backward_batch(cache, params):
 
     # encoder layers N..1
     for d in range(params.n_layers - 1, -1, -1):
-        gV, gb = _threshold_vjp(gPsi, cache["pre_acts"][d],
-                                params.enc_thresholds[d][:, None, None, None], act)
-        grads.enc_thresholds[d] += gb.sum(axis=(1, 2, 3))
+        gV, gnb = _threshold_vjp(gPsi, cache["blocks"][d], act)
+        grads.enc_thresholds[d] -= gnb.sum(axis=(1, 2, 3))
         if d:
             gV2 = gV.reshape(len(gV), -1)
             prev = cache["blocks"][d - 1]

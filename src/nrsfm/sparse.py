@@ -19,13 +19,6 @@ def threshold(x, b, activation):
     return np.sign(x) * np.maximum(np.abs(x) - b, 0.0)
 
 
-def active_mask(x, b, activation):
-    """Mask of the entries that threshold(x, b, activation) passes through."""
-    if activation == "relu":
-        return (x - b) > 0
-    return np.abs(x) > b
-
-
 def _nonneg(b, caller):
     b = np.asarray(b, dtype=float)
     if np.any(b < 0):

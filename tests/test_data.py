@@ -420,6 +420,13 @@ def test_checkpoint_errors(tmp_path):
         malformed.write_bytes(magic + b"\n" + line + b"\n" + blob)
         with pytest.raises(CheckpointError, match=f"malformed{i}.bin"):
             load_checkpoint(malformed)
+    # a negative encoder threshold in the body
+    k = names.index("enc_b1")
+    negative = tmp_path / "negative.bin"
+    negative.write_bytes(magic + b"\n" + manifest + b"\n" + blob[:offsets[k]]
+                         + np.float64(-0.5).tobytes() + blob[offsets[k] + 8:])
+    with pytest.raises(CheckpointError, match="negative.bin: thresholds must be non-negative"):
+        load_checkpoint(negative)
 
 
 def test_checkpoint_rejects_moment_of_wrong_shape(tmp_path):
@@ -458,27 +465,41 @@ def test_generation_bytes_are_pinned(tmp_path):
 
 
 def test_training_bytes_are_pinned(tmp_path):
-    """A short training run's checkpoint, Adam moments included, and that
-    of a run resumed from it keep the bytes they had before the parameters
-    and moments moved into flat vectors."""
-    scene, _ = synth_planted(PlantedSpec(
-        points=6, frames=12, layers=3, width_first=5, width_last=2, sparsity=1,
-        camera_mode="weak_perspective", noise_ratio=0.05, max_missing=2, seed=8))
-    scene = normalize_scene(scene)
-    config = TrainConfig(layers=3, width_first=5, width_last=2, activation="soft",
-                         translation=True, batch_size=4, total_steps=40, eval_interval=20)
-    half = train(scene, replace(config, total_steps=20), verbose=False)
-    save_checkpoint(tmp_path / "half.ckpt", half.params, config=config,
-                    opt_state=half.opt_state, step=20, skipped=half.skipped)
-    params, _, opt_state, step, skipped = load_checkpoint(tmp_path / "half.ckpt")
-    resumed = train(scene, config, init=(params, opt_state, step, skipped), verbose=False)
-    save_checkpoint(tmp_path / "resumed.ckpt", resumed.params, config=config,
-                    opt_state=resumed.opt_state, step=40, skipped=resumed.skipped)
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("half.ckpt", "resumed.ckpt")}
+    """Short training runs' checkpoints, Adam moments included, and those
+    of runs resumed from them keep the bytes they had before the parameters
+    and moments moved into flat vectors (soft/translation) and before the
+    backward pass read its threshold masks from the stored layer outputs
+    (relu/orthogonal)."""
+    cases = {
+        "soft": (PlantedSpec(points=6, frames=12, layers=3, width_first=5, width_last=2,
+                             sparsity=1, camera_mode="weak_perspective", noise_ratio=0.05,
+                             max_missing=2, seed=8),
+                 TrainConfig(layers=3, width_first=5, width_last=2, activation="soft",
+                             translation=True, batch_size=4, total_steps=40, eval_interval=20)),
+        "relu": (PlantedSpec(points=7, frames=16, layers=3, width_first=6, width_last=3,
+                             sparsity=2, camera_mode="orthogonal", noise_ratio=0.02,
+                             max_missing=1, seed=9),
+                 TrainConfig(layers=3, width_first=6, width_last=3, activation="relu",
+                             batch_size=4, total_steps=40, eval_interval=20)),
+    }
+    digests = {}
+    for case, (spec, config) in cases.items():
+        scene = normalize_scene(synth_planted(spec)[0])
+        half = train(scene, replace(config, total_steps=20), verbose=False)
+        save_checkpoint(tmp_path / f"{case}-half.ckpt", half.params, config=config,
+                        opt_state=half.opt_state, step=20, skipped=half.skipped)
+        params, _, opt_state, step, skipped = load_checkpoint(tmp_path / f"{case}-half.ckpt")
+        resumed = train(scene, config, init=(params, opt_state, step, skipped), verbose=False)
+        save_checkpoint(tmp_path / f"{case}-resumed.ckpt", resumed.params, config=config,
+                        opt_state=resumed.opt_state, step=40, skipped=resumed.skipped)
+        for stage in ("half", "resumed"):
+            name = f"{case}-{stage}.ckpt"
+            digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digests == {
-        "half.ckpt": "b3de4587f483f4e93c97449948416e9ba08f63da36f2513cca581a2552dbfac8",
-        "resumed.ckpt": "c754c45ac992ee1df40131801df07d46265dfed7f706fa79dfec59ab348bffd1",
+        "soft-half.ckpt": "b3de4587f483f4e93c97449948416e9ba08f63da36f2513cca581a2552dbfac8",
+        "soft-resumed.ckpt": "c754c45ac992ee1df40131801df07d46265dfed7f706fa79dfec59ab348bffd1",
+        "relu-half.ckpt": "a63a4dfedfe703fa6e412514e10d9c6a49160c038dec93a0407eb05c8f0967e2",
+        "relu-resumed.ckpt": "e8264a4a37d2ed0a53b35070eb6410cea760eaaedadb6e7e7764e09dc0ddb97a",
     }
 
 

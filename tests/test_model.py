@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from nrsfm.geometry import random_rotation
+import nrsfm.model
 from nrsfm.model import (POLAR_CLAMP, CameraRankError, ModelParams,
                          backward_batch, decode, default_beta, default_gamma,
                          encode, forward, forward_batch, loss, polar_jvp,
                          polar_vjp, recover_code_camera)
 from nrsfm.sparse import block_ista_step, block_sparsity
+from nrsfm.training import gradients
 
 
 def _random_params(rng, P=5, widths=(6, 3), activation="relu", block_rows=3,
@@ -37,6 +39,14 @@ def test_params_validation():
     with pytest.raises(ValueError, match="2-D"):
         ModelParams([p.dictionaries[0].ravel(), p.dictionaries[1]], p.enc_thresholds,
                     p.dec_thresholds, p.beta, p.gamma)
+    # a negative threshold, encoder or decoder: soft would then pass an
+    # exactly-zero pre-activation that its stored output reads as blocked
+    for group in ("enc_thresholds", "dec_thresholds"):
+        bad = p.copy()
+        getattr(bad, group)[0][1] = -0.1
+        with pytest.raises(ValueError, match="non-negative"):
+            ModelParams(bad.dictionaries, bad.enc_thresholds, bad.dec_thresholds,
+                        bad.beta, bad.gamma, "soft")
 
 
 def test_params_share_one_flat_vector():
@@ -91,10 +101,9 @@ def test_params_share_one_flat_vector():
 
 def test_backward_batch_names_first_non_finite_group():
     """One finiteness scan over grads.flat; the error names the first group,
-    in param_items order, that holds a non-finite entry.  (A NaN in the
-    measurements themselves already stops the forward pass at the camera's
-    SVD, so the non-finite values are put into the cache that backward_batch
-    reads.)"""
+    in param_items order, that holds a non-finite entry.  (forward_batch
+    rejects a non-finite visible measurement, so the non-finite values are
+    put into the cache that backward_batch reads.)"""
     rng = np.random.default_rng(41)
     params = _random_params(rng, P=5, widths=(6, 3), thresholds=0.02)
     W = rng.standard_normal((3, 5, 2))
@@ -511,3 +520,158 @@ def test_batch_axis_matches_single_frames(layers, block_rows, activation):
             assert _rel_close(cache["pre_acts"][0][:, :, f], D1X)
     for name, g in grads.param_items():
         assert _rel_close(g, summed[name]), name
+
+
+def test_params_iterate_over_names():
+    """Iterating a ModelParams gives its param_items names, so that
+    `for name in grads: grads[name]` works instead of dying with KeyError: 0."""
+    rng = np.random.default_rng(43)
+    params = _random_params(rng, widths=(6, 4, 3), thresholds=0.02)
+    names = [name for name, _ in params.param_items()]
+    assert list(params) == names == ["dict1", "dict2", "dict3", "enc_b1", "enc_b2", "enc_b3",
+                                     "dec_b2", "dec_b3", "beta", "gamma"]
+    W = rng.standard_normal((3, 5, 2))
+    grads = backward_batch(forward_batch(W, np.ones((3, 5), dtype=bool), params)[2], params)
+    assert [(name, grads[name].shape) for name in grads] == [
+        (name, a.shape) for name, a in params.param_items()]
+
+
+def test_zeros_like_is_an_unshared_zero_layout():
+    rng = np.random.default_rng(44)
+    params = _random_params(rng, widths=(6, 4, 3), block_rows=4, thresholds=0.02)
+    zeros = params.zeros_like()
+    assert zeros.flat.shape == params.flat.shape and not np.any(zeros.flat)
+    assert (zeros.activation, zeros.block_rows) == (params.activation, params.block_rows)
+    assert not np.shares_memory(zeros.flat, params.flat)
+    for (name, z), (_, a) in zip(zeros.param_items(), params.param_items()):
+        assert z.shape == a.shape and np.shares_memory(z, zeros.flat), name
+    zeros.gamma[1] = 2.0
+    assert zeros.flat[-2] == 2.0 and np.count_nonzero(zeros.flat) == 1
+    assert params.gamma[1] == default_gamma(3)[1]
+
+
+def test_non_finite_visible_measurement_is_a_named_error():
+    """A NaN or inf at a visible point stops forward_batch, and so gradients
+    and loss, with a ValueError naming the first bad frame instead of a
+    LinAlgError from the camera's SVD.  Hidden points may hold anything."""
+    rng = np.random.default_rng(45)
+    params = _random_params(rng, widths=(6, 3), thresholds=0.02)
+    W = rng.standard_normal((4, 5, 2))
+    vis = np.ones((4, 5), dtype=bool)
+    vis[1, 3] = False
+    clean = forward_batch(W, vis, params)[0]
+    W[1, 3, 0] = np.nan
+    assert np.array_equal(forward_batch(W, vis, params)[0], clean)
+    assert np.array_equal(gradients(params, W, vis).flat,
+                          gradients(params, np.nan_to_num(W), vis).flat)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = W.copy()
+        bad[2, 4, 1] = value
+        bad[3, 0, 0] = value
+        for call in (forward_batch, lambda W, vis, params: gradients(params, W, vis), loss):
+            with pytest.raises(ValueError, match="non-finite measurement at a visible "
+                                                 "point at frame 2$"):
+                call(bad, vis, params)
+        with pytest.raises(ValueError, match="at frame 0$"):
+            forward(bad[3], None, params)
+
+
+def _threshold_layers(cache, params):
+    """(pre-activation, threshold broadcast against it) of every thresholded
+    layer, recomputed for the decoder: its layers in the order they are
+    applied, and the encoder's."""
+    decoder = [(phi_in @ params.dictionaries[d].T, params.dec_thresholds[d - 1])
+               for d, phi_in, _ in cache["dec_records"]]
+    encoder = [(v, b[:, None, None, None])
+               for v, b in zip(cache["pre_acts"], params.enc_thresholds)]
+    return decoder, encoder
+
+
+def _recompute_vjp_gradient(cache, params, monkeypatch):
+    """backward_batch with each threshold VJP recomputing its pass-through
+    mask from the layer's pre-activation (relu: x - b > 0, soft: |x| > b)
+    and its threshold gradient as g * where(mask, -1 or -sign(x), 0): the
+    way the gradient was formed before it read the stored outputs, kept as
+    the oracle of exact equality.  Each threshold group must also equal the
+    sum the oracle forms for it, so a wrong sign where backward_batch
+    accumulates it is caught too."""
+    act = params.activation
+    decoder, encoder = _threshold_layers(cache, params)
+    pending = decoder[::-1] + encoder[::-1]     # the order of the backward pass
+    expected = []
+
+    def recompute_vjp(g, out, activation):
+        v, b = pending.pop(0)
+        assert v.shape == out.shape == g.shape
+        on = (v - b) > 0 if act == "relu" else np.abs(v) > b
+        gb = g * np.where(on, -1.0 if act == "relu" else -np.sign(v), 0.0)
+        expected.append(0.0 + gb.sum(axis=0 if b.ndim == 1 else (1, 2, 3)))
+        return g * on, -gb      # backward_batch subtracts the sum of the second
+
+    with monkeypatch.context() as m:
+        m.setattr(nrsfm.model, "_threshold_vjp", recompute_vjp)
+        grads = backward_batch(cache, params)
+    assert not pending
+    for want, got in zip(expected, grads.dec_thresholds + grads.enc_thresholds[::-1],
+                         strict=True):
+        assert np.array_equal(want, got)
+    return grads
+
+
+def _set_ties(params, W, vis):
+    """Zero block 1 of every dictionary but the last, and its threshold, so
+    that some pre-activations are exactly 0 at a zero threshold.  Then set
+    one more threshold of every layer, in the order the forward pass
+    applies them, to the smallest value its pre-activations pass it by
+    (relu: x == b, soft: |x| == b)."""
+    relu = params.activation == "relu"
+
+    def tie(b, v):      # v: the layer's pre-activations, block or unit first
+        passing = [np.sort(vk[vk > 0] if relu else np.abs(vk), axis=None) for vk in v]
+        k = max((k for k in range(len(b)) if k != 1), key=lambda k: len(passing[k]))
+        b[k], b[1] = passing[k][0], 0.0
+
+    params.dictionaries[0][:, 3:6] = 0.0
+    for D in params.dictionaries[1:-1]:
+        D[:, 1] = 0.0       # encoder block 1 of the next layer but the last
+    for D in params.dictionaries[1:]:
+        D[1, :] = 0.0       # decoder unit 1 of the layer before
+    for d, b in enumerate(params.enc_thresholds):
+        tie(b, forward_batch(W, vis, params)[2]["pre_acts"][d])
+    for i, b in enumerate(params.dec_thresholds[::-1]):
+        u = _threshold_layers(forward_batch(W, vis, params)[2], params)[0][i][0]
+        tie(b, u.T)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("block_rows", [3, 4])
+@pytest.mark.parametrize("activation", ["relu", "soft"])
+def test_backward_reads_stored_outputs_bit_identically(layers, block_rows, activation,
+                                                       monkeypatch):
+    """The threshold VJPs read their masks off the stored layer outputs;
+    the gradient is np.array_equal to the one whose masks are recomputed
+    from the pre-activations, on random thresholds and on thresholds that
+    pre-activations hit exactly, including pre-activations of exactly 0."""
+    rng = np.random.default_rng(50 + 7 * layers + block_rows)
+    widths = (6, 4, 3)[:layers]
+    for ties in (False, True):
+        params = _random_params(rng, P=4, widths=widths, activation=activation,
+                                block_rows=block_rows)
+        for b in params.enc_thresholds + params.dec_thresholds:
+            b += rng.uniform(0.0, 0.05, b.shape)
+        W = rng.standard_normal((6, 4, 2)) + (2.0 if block_rows == 4 else 0.0)
+        vis = np.ones((6, 4), dtype=bool)
+        vis[np.arange(0, 6, 2), rng.integers(4, size=3)] = False
+        if ties:
+            _set_ties(params, W, vis)
+        losses, valid, cache = forward_batch(W, vis, params)
+        assert valid.any()
+        grads = backward_batch(cache, params)
+        oracle = _recompute_vjp_gradient(cache, params, monkeypatch)
+        assert np.array_equal(grads.flat, oracle.flat)
+        if ties:
+            decoder, encoder = _threshold_layers(cache, params)
+            assert all(np.all(v[1, :3] == 0) for v, _ in encoder[:max(layers - 1, 1)])
+            assert all(np.all(u[:, 1] == 0) for u, _ in decoder)
+            assert all(np.any(((v if activation == "relu" else np.abs(v)) == b) & (b > 0))
+                       for v, b in decoder + encoder)
