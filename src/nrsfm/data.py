@@ -24,9 +24,9 @@ from dataclasses import dataclass, asdict, field, fields, replace
 
 import numpy as np
 
-from .geometry import (CAMERA_MODES, normalize_bbox, noise_perturb, project,
-                       random_camera, visible_centroid)
-from .model import ModelParams, random_params, width_schedule
+from .geometry import (CAMERA_MODES, add_scaled_noise, draw_camera, normalize_bbox,
+                       project_frames, quaternion_rotations, visible_centroid)
+from .model import ModelParams, atom_rows, random_params, width_schedule
 from .training import OptimizerState
 
 SCENE_MAGIC = "# nrsfm-scene v1"
@@ -123,8 +123,8 @@ class PlantedSpec:
             raise ValueError("sparsity must be in 1..width_last")
         if self.camera_mode not in CAMERA_MODES:
             raise ValueError(f"unknown camera mode {self.camera_mode!r}")
-        if not (self.noise_ratio >= 0 and self.max_missing >= 0):
-            raise ValueError("noise ratio and max missing must be non-negative")
+        if not (0 <= self.noise_ratio < math.inf and self.max_missing >= 0):
+            raise ValueError("noise ratio and max missing must be finite and non-negative")
 
     @property
     def widths(self):
@@ -136,38 +136,44 @@ def synth_planted(spec):
     unit-norm hierarchical dictionaries, projected by random cameras.  The
     first-layer atoms are centered, so every shape has zero centroid.
 
+    The random draws stay per frame in generator order (the code's support
+    and values, the camera, the noise); the arithmetic on them is batched
+    over the scene and gives the same bits as frame-by-frame arithmetic.
+
     Returns (scene with ground truth, generating ModelParams).  The codes
     are expanded linearly; soft thresholds at zero are the identity, so the
-    returned params decode a planted code to its planted shape.
+    returned params decode a planted code to its planted shape.  Raises
+    ValueError if a measurement is not finite (a noise ratio that overflows).
     """
     rng = np.random.default_rng(spec.seed)
-    widths = spec.widths
-    F, P = spec.frames, spec.points
-    params = random_params(rng, P, widths, "soft", 3, centered=True)
-    dicts = params.dictionaries
-    W = np.empty((F, P, 2))
-    shapes = np.empty((F, P, 3))
-    rot = np.empty((F, 3, 2))
+    F, P, K = spec.frames, spec.points, spec.widths[-1]
+    params = random_params(rng, P, spec.widths, "soft", 3, centered=True)
+    codes = np.zeros((F, K))
+    quats = np.empty((F, 4))
     scales = np.ones(F)
     trans = np.zeros((F, 2))
+    noise = np.empty((F, P, 2)) if spec.noise_ratio > 0 else None
     for f in range(F):
-        psi = np.zeros(widths[-1])
-        support = rng.choice(widths[-1], size=spec.sparsity, replace=False)
-        psi[support] = rng.uniform(0.5, 1.5, size=spec.sparsity)
-        phi = psi
-        for d in range(spec.layers - 1, 0, -1):
-            phi = dicts[d] @ phi
-        S = np.einsum("pkc,k->pc", dicts[0].reshape(P, widths[0], 3), phi)
-        cam = random_camera(rng, spec.camera_mode)
-        shapes[f] = S
-        rot[f] = cam.rotation
-        scales[f] = cam.scale
-        trans[f] = cam.translation
-        W[f] = project(S, cam, mode=spec.camera_mode)
-        if spec.noise_ratio > 0:
-            W[f] = noise_perturb(W[f], spec.noise_ratio, rng)
+        support = rng.choice(K, size=spec.sparsity, replace=False)
+        codes[f, support] = rng.uniform(0.5, 1.5, size=spec.sparsity)
+        quats[f], scales[f], trans[f] = draw_camera(rng, spec.camera_mode)
+        if noise is not None:
+            noise[f] = rng.standard_normal((P, 2))
+    phi = codes
+    for D in params.dictionaries[:0:-1]:
+        phi = (D @ phi[:, :, None])[:, :, 0]     # one matrix-vector product per frame
+    # einsum, not BLAS: it sums over atoms in the order a per-frame expansion does
+    shapes = np.einsum("fk,kj->fj", phi, atom_rows(params)).reshape(F, P, 3)
+    rot = quaternion_rotations(quats)[:, :, :2]
+    W = project_frames(shapes, rot, scales, trans, spec.camera_mode)
+    if noise is not None:
+        with np.errstate(over="ignore", invalid="ignore"):   # named below instead
+            W = add_scaled_noise(W, noise, spec.noise_ratio)
+    if not np.isfinite(W).all():
+        raise ValueError(f"synth_planted: a measurement is not finite "
+                         f"(noise ratio {spec.noise_ratio:g})")
     scene = Scene(W, np.ones((F, P), bool), spec.camera_mode,
-                  gt_shapes=shapes, gt_rotations=rot,
+                  gt_shapes=shapes, gt_rotations=np.ascontiguousarray(rot),
                   gt_scales=scales, gt_translations=trans)
     if spec.max_missing > 0:
         scene = make_missing(scene, spec.max_missing, rng)

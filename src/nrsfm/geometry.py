@@ -32,7 +32,8 @@ class CameraWeak:
 
 
 def _check_orthonormal(M, tol=1e-6):
-    err = np.max(np.abs(M.T @ M - np.eye(2)))
+    """Reject rotation parts (..., 3, 2) that are not column-orthonormal."""
+    err = np.max(np.abs(np.swapaxes(M, -1, -2) @ M - np.eye(2)))
     if err > tol:
         raise ValueError(f"camera rotation part is not column-orthonormal (error {err:.3g})")
 
@@ -46,13 +47,21 @@ def project(S, cam, mode="orthogonal"):
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[1] != 3:
         raise ValueError(f"project: shape must be (P, 3), got {S.shape}")
-    _check_orthonormal(cam.rotation)
+    return project_frames(S, cam.rotation, cam.scale, cam.translation, mode)
+
+
+def project_frames(S, M, scale, t, mode="orthogonal"):
+    """project over stacks: shapes (..., P, 3) by rotation parts (..., 3, 2),
+    scales (...) and translations (..., 2), each frame's product one BLAS
+    call, as for a single frame."""
+    _check_orthonormal(M)
+    scale, t = np.asarray(scale), np.asarray(t)
     if mode == "orthogonal":
-        if cam.scale != 1.0 or np.any(cam.translation != 0):
+        if np.any(scale != 1.0) or np.any(t != 0):
             raise ValueError("project: orthogonal mode requires scale 1 and zero translation")
-        return S @ cam.rotation
+        return S @ M
     if mode == "weak_perspective":
-        return cam.scale * (S @ cam.rotation) + cam.translation[None, :]
+        return scale[..., None, None] * (S @ M) + t[..., None, :]
     raise ValueError(f"project: unknown mode {mode!r}")
 
 
@@ -62,32 +71,42 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
+def draw_camera(rng, mode="orthogonal"):
+    """One random camera's draws from rng, in this order: a quaternion (4,)
+    of standard normals, then in weak-perspective mode a scale in [0.5, 1.5]
+    and a translation in [-0.5, 0.5]^2.  Returns (quaternion, scale,
+    translation); an orthogonal camera has scale 1 and zero translation."""
+    if mode not in CAMERA_MODES:
+        raise ValueError(f"random_camera: unknown mode {mode!r}")
+    q = rng.standard_normal(4)
+    if mode == "orthogonal":
+        return q, 1.0, np.zeros(2)
+    return q, rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5, size=2)
+
+
+def quaternion_rotations(q):
+    """3x3 rotation matrices (..., 3, 3) of quaternions (..., 4) = (w, x, y, z),
+    each first divided by its norm (a BLAS dot, as np.linalg.norm takes it)."""
+    flat = q.reshape(-1, 4)
+    w, x, y, z = (flat / np.sqrt(_sq_norms(flat))[:, None]).T
+    R = np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ], axis=-1)
+    return R.reshape(q.shape[:-1] + (3, 3))
+
+
 def random_rotation(seed):
     """Uniformly random 3x3 rotation matrix via unit-quaternion sampling."""
-    rng = _rng(seed)
-    q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    return quaternion_rotations(_rng(seed).standard_normal(4))
 
 
 def random_camera(seed, mode="orthogonal"):
-    """Sample a random camera: first two columns of a uniform rotation;
-    weak-perspective mode additionally draws scale in [0.5, 1.5] and
-    translation in [-0.5, 0.5]^2."""
-    rng = _rng(seed)
-    M = random_rotation(rng)[:, :2]
-    if mode == "orthogonal":
-        return CameraWeak(M)
-    if mode == "weak_perspective":
-        scale = rng.uniform(0.5, 1.5)
-        t = rng.uniform(-0.5, 0.5, size=2)
-        return CameraWeak(M, scale=scale, translation=t)
-    raise ValueError(f"random_camera: unknown mode {mode!r}")
+    """Sample a random camera (draw_camera): the first two columns of a
+    uniform rotation; weak-perspective mode adds a scale and a translation."""
+    q, scale, t = draw_camera(_rng(seed), mode)
+    return CameraWeak(quaternion_rotations(q)[:, :2], scale=scale, translation=t)
 
 
 def _frame_label(bad):
@@ -154,8 +173,8 @@ def procrustes_rotation(Sest, Sgt):
 
 
 def _sq_norms(S):
-    """Squared Frobenius norm of each (P, 3) shape of an (F, P, 3) stack, as
-    BLAS dot products (np.linalg.norm of one shape takes the same dot)."""
+    """Squared Frobenius norm of each item of a stack (F, ...), as BLAS dot
+    products (np.linalg.norm of one item takes the same dot)."""
     d = S.reshape(len(S), -1)
     return (d[:, None, :] @ d[:, :, None]).ravel()
 
@@ -209,13 +228,18 @@ def mutual_coherence(D):
 
 def noise_perturb(W, ratio, seed):
     """Add Gaussian noise rescaled so ||noise||_F / ||W||_F equals ratio
-    exactly (per frame)."""
+    exactly."""
     W = np.asarray(W, dtype=float)
-    if ratio < 0:
-        raise ValueError("noise_perturb: ratio must be non-negative")
+    if not 0 <= ratio < np.inf:
+        raise ValueError("noise_perturb: ratio must be finite and non-negative")
     if ratio == 0:
         return W.copy()
-    rng = _rng(seed)
-    noise = rng.standard_normal(W.shape)
-    noise *= ratio * np.linalg.norm(W) / np.linalg.norm(noise)
+    return add_scaled_noise(W[None], _rng(seed).standard_normal((1,) + W.shape), ratio)[0]
+
+
+def add_scaled_noise(W, noise, ratio):
+    """W + noise for stacks (F, ...), each frame's noise rescaled in place so
+    its ||noise||_F / ||W||_F equals ratio."""
+    gain = ratio * np.sqrt(_sq_norms(W)) / np.sqrt(_sq_norms(noise))
+    noise *= gain.reshape((-1,) + (1,) * (W.ndim - 1))
     return W + noise

@@ -291,27 +291,10 @@ def forward_batch(W, vis, params):
     return losses, valid, cache
 
 
-def polar_jvp(U, s, Vt, dA):
-    """Differential of the polar factor Q = U V^T of a batch of 3x2
-    matrices, given their thin SVD and a direction dA (broadcastable to
-    (B, 3, 2)).  Singular-value-sum denominators are clamped below."""
-    V = np.swapaxes(Vt, -1, -2)
-    dA = np.broadcast_to(dA, U.shape[:-2] + (3, 2))
-    Pm = np.einsum("bij,bik,bkl->bjl", U, dA, V)
-    skew = Pm - np.swapaxes(Pm, -1, -2)
-    denom = np.maximum(s[:, :, None] + s[:, None, :], POLAR_CLAMP)
-    core = skew / denom
-    term1 = np.einsum("bij,bjk,blk->bil", U, core, V)
-    proj = dA - np.einsum("bij,bkj,bkl->bil", U, U, dA)
-    sinv = 1.0 / np.maximum(s, POLAR_CLAMP)
-    term2 = np.einsum("bij,blj->bil", proj @ (V * sinv[:, None, :]), V)
-    return term1 + term2
-
-
 def polar_vjp(U, s, Vt, gQ):
-    """Adjoint of polar_jvp in closed form (Ionescu et al., ICCV 2015), with
-    the same clamps: the gradient with respect to the 3x2 input, given the
-    gradient gQ with respect to Q,
+    """Gradient with respect to 3x2 matrices of their polar factor Q = U V^T,
+    given their thin SVD and the gradient gQ with respect to Q, in closed
+    form (Ionescu et al., ICCV 2015) with denominators clamped below:
         U [(G - G^T) / (s_i + s_j)] V^T + (I - U U^T) gQ V diag(1/s) V^T,
     where G = U^T gQ V."""
     V = np.swapaxes(Vt, -1, -2)

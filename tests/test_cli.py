@@ -53,6 +53,19 @@ def test_generate_invalid_spec_fails(tmp_path):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--noise", "inf"], "finite and non-negative"),
+    # finite, but ratio * ||W|| overflows to inf
+    (["--mode", "weak_perspective", "--noise", "1e308"], "not finite")])
+def test_generate_non_finite_noise_fails_cleanly(tmp_path, capsys, flags, message):
+    out = str(tmp_path / "scene.txt")
+    assert _run(["generate", "--frames", "5", "--seed", "1", *flags, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not os.path.exists(out)
+    assert not os.path.exists(out + ".params")
+
+
 def test_generate_zero_layers_fails_cleanly(tmp_path, capsys):
     out = str(tmp_path / "scene.txt")
     assert _run(["generate", "--layers", "0", "--out", out]) == 1

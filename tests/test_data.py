@@ -3,7 +3,7 @@ import itertools
 import json
 import os
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,8 @@ from nrsfm.data import (CheckpointError, PlantedSpec, Scene, SceneFormatError,
                         load_checkpoint, load_scene, make_missing,
                         normalize_scene, save_checkpoint, save_scene,
                         synth_planted)
-from nrsfm.model import decode
+from nrsfm.geometry import draw_camera, quaternion_rotations, random_camera
+from nrsfm.model import decode, random_params
 from nrsfm.training import OptimizerState, TrainConfig, init_params, train
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "sample_scene.txt")
@@ -105,6 +106,90 @@ def test_planted_noise_ratio_exact_per_frame():
         assert np.isclose(num / den, 0.15, atol=1e-12)
 
 
+def _rotation_per_frame(q):
+    """A quaternion's rotation matrix as one frame's own arithmetic."""
+    w, x, y, z = q / np.linalg.norm(q)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def _synth_planted_per_frame(spec):
+    """synth_planted as one loop that draws and computes each frame in turn:
+    the oracle that the batched version must match bit for bit."""
+    rng = np.random.default_rng(spec.seed)
+    F, P, K = spec.frames, spec.points, spec.widths[-1]
+    params = random_params(rng, P, spec.widths, "soft", 3, centered=True)
+    dicts = params.dictionaries
+    W = np.empty((F, P, 2))
+    shapes = np.empty((F, P, 3))
+    rot = np.empty((F, 3, 2))
+    scales = np.ones(F)
+    trans = np.zeros((F, 2))
+    for f in range(F):
+        psi = np.zeros(K)
+        support = rng.choice(K, size=spec.sparsity, replace=False)
+        psi[support] = rng.uniform(0.5, 1.5, size=spec.sparsity)
+        phi = psi
+        for d in range(spec.layers - 1, 0, -1):
+            phi = dicts[d] @ phi
+        S = np.einsum("pkc,k->pc", dicts[0].reshape(P, spec.widths[0], 3), phi)
+        M = _rotation_per_frame(rng.standard_normal(4))[:, :2]
+        shapes[f], rot[f] = S, M
+        if spec.camera_mode == "orthogonal":
+            W[f] = S @ M
+        else:
+            scale, t = rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5, size=2)
+            scales[f], trans[f] = scale, t
+            W[f] = scale * (S @ M) + t[None, :]
+        if spec.noise_ratio > 0:
+            noise = rng.standard_normal((P, 2))
+            noise *= spec.noise_ratio * np.linalg.norm(W[f]) / np.linalg.norm(noise)
+            W[f] = W[f] + noise
+    scene = Scene(W, np.ones((F, P), bool), spec.camera_mode, gt_shapes=shapes,
+                  gt_rotations=rot, gt_scales=scales, gt_translations=trans)
+    if spec.max_missing > 0:
+        scene = make_missing(scene, spec.max_missing, rng)
+    return scene, params
+
+
+@pytest.mark.parametrize("layers, mode, noisy", [
+    *itertools.product((1, 2, 3, 4), ("orthogonal", "weak_perspective"), (False, True)),
+    ("bench", "orthogonal", False), ("bench", "weak_perspective", True)])
+def test_synth_planted_matches_per_frame_oracle(layers, mode, noisy):
+    """Batched arithmetic on per-frame draws gives the per-frame loop's
+    bits, in every Scene array and the params; "bench" is the benchmark's
+    P=31, F=2000 scene."""
+    shape = (dict(points=31, frames=2000, layers=2, width_first=32, width_last=8)
+             if layers == "bench" else
+             dict(points=13, frames=150, layers=layers, width_first=12,
+                  width_last=12 if layers == 1 else 5, sparsity=3))
+    extra = dict(noise_ratio=0.1, max_missing=3) if noisy else {}
+    for seed in (0, 5):
+        spec = PlantedSpec(camera_mode=mode, seed=seed, **shape, **extra)
+        (scene, params), (want, want_params) = synth_planted(spec), _synth_planted_per_frame(spec)
+        for f in fields(Scene):
+            a, b = getattr(scene, f.name), getattr(want, f.name)
+            assert (np.array_equal(a, b) and a.dtype == b.dtype if isinstance(b, np.ndarray)
+                    else a == b), f.name
+        assert np.array_equal(params.flat, want_params.flat)
+
+
+def test_random_camera_matches_stacked_builder():
+    """random_camera(seed) is the stacked builder applied to its draws, and
+    each rotation of a stack has one frame's own bits."""
+    for mode in ("orthogonal", "weak_perspective"):
+        draws = [draw_camera(np.random.default_rng(seed), mode) for seed in range(20)]
+        R = quaternion_rotations(np.array([q for q, _, _ in draws]))
+        for seed, (q, scale, t) in enumerate(draws):
+            cam = random_camera(seed, mode)
+            assert np.array_equal(R[seed], _rotation_per_frame(q))
+            assert np.array_equal(cam.rotation, R[seed, :, :2])
+            assert cam.scale == scale and np.array_equal(cam.translation, t)
+
+
 def test_planted_spec_validation():
     for bad, match in ((dict(points=1), "two points"),
                        (dict(layers=0), "layer"),
@@ -112,6 +197,7 @@ def test_planted_spec_validation():
                        (dict(width_first=4, width_last=0), "widths"),
                        (dict(noise_ratio=-1.0), "non-negative"),
                        (dict(noise_ratio=float("nan")), "non-negative"),
+                       (dict(noise_ratio=float("inf")), "finite"),
                        (dict(max_missing=-1), "non-negative")):
         with pytest.raises(ValueError, match=match):
             PlantedSpec(**bad)

@@ -249,3 +249,6 @@ def test_noise_perturb():
     W3 = noise_perturb(W, 0.2, 2)
     assert not np.array_equal(W2, W3)
     assert np.isclose(np.linalg.norm(W3 - W), np.linalg.norm(W2 - W))
+    for bad in (-0.1, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            noise_perturb(W, bad, 1)

@@ -5,8 +5,8 @@ from nrsfm.geometry import random_rotation
 import nrsfm.model
 from nrsfm.model import (POLAR_CLAMP, CameraRankError, ModelParams,
                          backward_batch, decode, default_beta, default_gamma,
-                         encode, forward, forward_batch, loss, polar_jvp,
-                         polar_vjp, recover_code_camera)
+                         encode, forward, forward_batch, loss, polar_vjp,
+                         recover_code_camera)
 from nrsfm.sparse import block_ista_step, block_sparsity
 from nrsfm.training import gradients
 
@@ -425,6 +425,23 @@ def test_translation_mode_vanishing_epsilon_raises():
     # zero code -> zero phi1 -> zero epsilon
     with pytest.raises(CameraRankError):
         forward(np.zeros((5, 2)), None, params)
+
+
+def polar_jvp(U, s, Vt, dA):
+    """Differential of the polar factor Q = U V^T of a batch of 3x2
+    matrices, given their thin SVD and a direction dA (broadcastable to
+    (B, 3, 2)), with polar_vjp's clamps: the oracle its tests check it by."""
+    V = np.swapaxes(Vt, -1, -2)
+    dA = np.broadcast_to(dA, U.shape[:-2] + (3, 2))
+    Pm = np.einsum("bij,bik,bkl->bjl", U, dA, V)
+    skew = Pm - np.swapaxes(Pm, -1, -2)
+    denom = np.maximum(s[:, :, None] + s[:, None, :], POLAR_CLAMP)
+    core = skew / denom
+    term1 = np.einsum("bij,bjk,blk->bil", U, core, V)
+    proj = dA - np.einsum("bij,bkj,bkl->bil", U, U, dA)
+    sinv = 1.0 / np.maximum(s, POLAR_CLAMP)
+    term2 = np.einsum("bij,blj->bil", proj @ (V * sinv[:, None, :]), V)
+    return term1 + term2
 
 
 def _polar(A):

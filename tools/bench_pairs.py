@@ -10,7 +10,9 @@ one after the other; which side goes first alternates from seed to seed, so
 that a drift of the shared machine's speed falls on both sides alike.  The
 output holds every run's end-to-end metrics and correctness, each side's
 median and quartiles, the number of pairs the change wins, the seeds, and
-the environment that perfbench reports (BLAS threads, nproc, numpy).
+the environment that perfbench reports (BLAS threads, nproc, numpy); each
+run also keeps its wall times and reference bursts, so a disturbed run can
+be told from the file alone.
 """
 
 import argparse
@@ -25,8 +27,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "change")
 # Report figures kept next to the end-to-end metrics: the deterministic
 # result, so both sides can be seen to compute the same thing, and the
-# wall time per pass that pass_ref normalises.
-EXTRA = ("error3d", "ops_failed_frac", "pass_s")
+# wall times that pass_ref and setup_s normalise.
+EXTRA = ("error3d", "ops_failed_frac", "pass_s", "setup_wall_s")
 SEEDS = list(range(11, 21))
 
 
@@ -117,7 +119,9 @@ def main():
                         "failed": line["failed"],
                         "metrics": {**{k: v["value"] for k, v in line["metrics"].items()},
                                     **{k: report["figures"][k] for k in EXTRA}},
-                        "loadavg_start": env["loadavg_start"]}
+                        "loadavg_start": env["loadavg_start"],
+                        # per timed pass: its reference bursts, to spot a disturbed run
+                        "reference_bursts": report["passes"]["reference_bursts"]}
                 pairs.append(pair)
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{side} pass_ref {pair[side]['metrics']['pass_ref']:.2f}" for side in SIDES),
