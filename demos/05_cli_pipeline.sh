@@ -1,10 +1,17 @@
 #!/bin/sh
 # Full pipeline through the command-line interface: generate a planted
-# scene, train, reconstruct, and evaluate.  Artifacts land in a temp dir.
+# scene, train, reconstruct, and evaluate.  Artifacts land in the directory
+# given as the first argument (created if missing, kept afterwards), or else
+# in a temp dir removed on exit.
 set -e
 
-DIR=$(mktemp -d)
-trap 'rm -rf "$DIR"' EXIT
+if [ -n "$1" ]; then
+    DIR=$1
+    mkdir -p "$DIR"
+else
+    DIR=$(mktemp -d)
+    trap 'rm -rf "$DIR"' EXIT
+fi
 
 nrsfm generate --points 15 --frames 200 --width-first 12 --width-last 4 \
     --sparsity 1 --mode orthogonal --seed 11 --out "$DIR/scene.txt"

@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 from contextlib import suppress
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
@@ -141,13 +141,11 @@ def cmd_reconstruct(args, artifacts):
     scene_n = normalize_scene(scene, normalize)
     pairs = reconstruct(scene_n, params)
 
-    out = scene.copy()
-    out.gt_shapes = np.stack([S for S, _ in pairs])
-    out.gt_rotations = np.stack([cam.rotation for _, cam in pairs])
-    out.gt_scales = np.array([cam.scale for _, cam in pairs])
-    out.gt_translations = np.stack([cam.translation for _, cam in pairs])
-    out.norm_centroids = None
-    out.norm_scales = None
+    out = replace(scene, gt_shapes=np.stack([S for S, _ in pairs]),
+                  gt_rotations=np.stack([cam.rotation for _, cam in pairs]),
+                  gt_scales=np.array([cam.scale for _, cam in pairs]),
+                  gt_translations=np.stack([cam.translation for _, cam in pairs]),
+                  norm_centroids=None, norm_scales=None)
     artifacts.append(args.out)
     save_scene(out, args.out)
     print(f"wrote {args.out} ({out.frame_count} frames)")

@@ -399,6 +399,9 @@ def load_checkpoint(path):
                               f"the body has {len(body)} (truncated, or trailing bytes)")
     arrays = np.split(np.frombuffer(body, dtype="<f8"), np.cumsum(sizes)[:-1])
     tensors = {name: a.reshape(shape) for (name, shape), a in zip(shapes.items(), arrays)}
+    for name, a in tensors.items():
+        if not np.isfinite(a).all():
+            raise CheckpointError(f"{path}: tensor {name} has a non-finite value")
     try:
         n_layers = 1
         while f"dict{n_layers + 1}" in tensors:

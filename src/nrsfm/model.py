@@ -372,11 +372,14 @@ def _one_frame(W, mask):
     return W[None], np.asarray(mask, dtype=bool)[None]
 
 
-def _require_valid(valid, params):
+def require_valid(valid, params):
+    """Raise CameraRankError unless every camera in valid (one frame's flag,
+    or a batch's) is valid, naming a batch's first bad frame."""
     if not np.all(valid):
         raise CameraRankError(
             "recovered camera is rank-deficient"
-            + ("" if params.block_rows == 3 else " or homogeneous coordinate vanished"))
+            + ("" if params.block_rows == 3 else " or homogeneous coordinate vanished")
+            + _frame_label(~valid))
 
 
 def encode(W, mask, params):
@@ -408,7 +411,7 @@ def decode(psiN, params):
 def forward(W, mask, params):
     """Full forward pass for one frame."""
     losses, valid, cache = forward_batch(*_one_frame(W, mask), params)
-    _require_valid(valid, params)
+    require_valid(valid[0], params)
     return ForwardOutput(
         hidden_blocks=cache["blocks"][-1][:, :, 0],
         code=cache["psiN"][0],
@@ -430,5 +433,5 @@ def loss(W, mask, params):
     if mask is None:
         mask = np.ones(W.shape[:2], dtype=bool)
     losses, valid, _ = forward_batch(W, mask, params)
-    _require_valid(valid, params)
+    require_valid(valid, params)
     return float(losses.sum())

@@ -39,8 +39,8 @@ class TrainConfig:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if not self.base_lr > 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.base_lr < np.inf:
+            raise ValueError("learning rate must be positive and finite")
         if not 0 < self.decay_factor <= 1:
             raise ValueError("decay factor must be in (0, 1]")
         if self.decay_steps < 1:
@@ -148,50 +148,44 @@ def last_dictionary_atoms(params):
     return np.ascontiguousarray(mdl.atom_rows(params).T)
 
 
-def _denorm_scales(scene):
-    if scene.norm_scales is None:
-        return np.ones(scene.frame_count)
-    return scene.norm_scales
-
-
 def scene_forward(scene, params):
     """Batched forward over every frame of a (normalized) scene."""
     return mdl.forward_batch(scene.measurements, scene.visibility, params)
 
 
-def _valid_frame_error(scene, valid, cache, allow_scale):
-    """Mean 3D error of the forward pass's de-normalized shapes against the
-    scene's ground truth over the frames with a valid camera; None when no
-    frame is valid."""
-    idx = np.flatnonzero(valid)
-    if idx.size == 0:
-        return None
-    shapes = cache["S"][idx] * _denorm_scales(scene)[idx, None, None]
-    return normalized_3d_error(shapes, scene.gt_shapes[idx], allow_scale=allow_scale)
+def _scene_pass(scene, params):
+    """scene_forward read back in the scene's own frame: (losses, valid,
+    shapes, rotations, translations), with shapes and translations mapped
+    back through the scene's normalization records."""
+    losses, valid, cache = scene_forward(scene, params)
+    scales = np.ones(scene.frame_count) if scene.norm_scales is None else scene.norm_scales
+    centroids = 0.0 if scene.norm_centroids is None else scene.norm_centroids
+    return (losses, valid, cache["S"] * scales[:, None, None], cache["Q"],
+            centroids + scales[:, None] * cache["t_hat"])
 
 
-def scene_error(scene, params, allow_scale=None):
+def _evaluate(scene, params):
+    """(mean loss, 3D error) over the frames with a valid camera: the error
+    (None without ground truth or a valid frame) fits a scale in weak
+    perspective."""
+    losses, valid, shapes, _, _ = _scene_pass(scene, params)
+    if not np.any(valid):
+        return float("nan"), None
+    error3d = (None if scene.gt_shapes is None else normalized_3d_error(
+        shapes[valid], scene.gt_shapes[valid], allow_scale=scene.mode == "weak_perspective"))
+    return float(losses[valid].mean()), error3d
+
+
+def scene_error(scene, params):
     """Normalized mean 3D error of the model's reconstructions against the
-    scene's ground truth, after de-normalization.  Invalid frames are
-    excluded."""
+    scene's ground truth, after de-normalization, as the training history
+    records it.  Invalid frames are excluded."""
     if scene.gt_shapes is None:
         raise ValueError("scene has no ground truth")
-    if allow_scale is None:
-        allow_scale = scene.mode == "weak_perspective"
-    _, valid, cache = scene_forward(scene, params)
-    error = _valid_frame_error(scene, valid, cache, allow_scale)
+    error = _evaluate(scene, params)[1]
     if error is None:
         raise ValueError("no valid frames to evaluate")
     return error
-
-
-def _evaluate(scene, params, allow_scale):
-    losses, valid, cache = scene_forward(scene, params)
-    mean_loss = float(losses[valid].mean()) if np.any(valid) else float("nan")
-    coherence = mutual_coherence(last_dictionary_atoms(params))
-    error3d = (None if scene.gt_shapes is None
-               else _valid_frame_error(scene, valid, cache, allow_scale))
-    return mean_loss, coherence, error3d
 
 
 def _epoch_perm(seed, epoch, n):
@@ -231,7 +225,6 @@ def train(scene, config, init=None, verbose=True):
     if config.normalize != "none" and not scene.is_normalized:
         raise ValueError("scene must be pre-normalized (see normalize_scene) "
                          "or config.normalize set to 'none'")
-    allow_scale = scene.mode == "weak_perspective"
     if init is None:
         params = init_params(config, scene.point_count)
         opt_state = OptimizerState.zeros(params)
@@ -252,7 +245,8 @@ def train(scene, config, init=None, verbose=True):
     perms = {}
 
     def record(step):
-        mean_loss, coherence, error3d = _evaluate(scene, params, allow_scale)
+        mean_loss, error3d = _evaluate(scene, params)
+        coherence = mutual_coherence(last_dictionary_atoms(params))
         history.records.append(HistoryRecord(step, mean_loss, coherence,
                                              error3d, skipped))
         if verbose:
@@ -279,13 +273,8 @@ def train(scene, config, init=None, verbose=True):
 def reconstruct(scene, params):
     """Pure inference: per-frame (shape, camera) for every frame, with
     shapes and translations mapped back through the scene's normalization
-    records.  Raises CameraRankError on a rank-deficient frame."""
-    losses, valid, cache = scene_forward(scene, params)
-    if not np.all(valid):
-        bad = int(np.flatnonzero(~valid)[0])
-        raise mdl.CameraRankError(f"rank-deficient camera at frame {bad}")
-    scales = _denorm_scales(scene)
-    shapes = cache["S"] * scales[:, None, None]
-    centroids = 0.0 if scene.norm_centroids is None else scene.norm_centroids
-    t = centroids + scales[:, None] * cache["t_hat"]
-    return [(S, CameraWeak(Q, 1.0, tf)) for S, Q, tf in zip(shapes, cache["Q"], t)]
+    records.  Raises CameraRankError naming the first frame without a
+    valid camera."""
+    _, valid, shapes, rotations, translations = _scene_pass(scene, params)
+    mdl.require_valid(valid, params)
+    return [(S, CameraWeak(Q, 1.0, t)) for S, Q, t in zip(shapes, rotations, translations)]

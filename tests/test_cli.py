@@ -325,10 +325,11 @@ def test_train_resume_past_total_steps_fails_cleanly(tmp_path, capsys):
 
 
 def test_bad_checkpoint_manifest_fails_cleanly(tmp_path, capsys):
-    """Manifest fields are outside input: a step, skipped count or optimizer
-    step that is not a non-negative integer, a config that is not an object
-    and a tensor of the wrong rank each end in `error: <path>: ...` with exit
-    1, and the command leaves no output file."""
+    """Manifest fields and the body are outside input: a step, skipped count
+    or optimizer step that is not a non-negative integer, a config that is
+    not an object, a tensor of the wrong rank and a non-finite value in the
+    body (a parameter or an Adam moment) each end in `error: <path>: ...`
+    with exit 1, and the command leaves no output file."""
     scene = _make_scene(tmp_path)
     ck, h = str(tmp_path / "m.ck"), str(tmp_path / "m.csv")
     assert _run(["train", scene, "--checkpoint", ck, "--history", h] + _TRAIN_FLAGS) == 0
@@ -338,12 +339,19 @@ def test_bad_checkpoint_manifest_fails_cleanly(tmp_path, capsys):
                   for e in man["tensors"]]
     edits = [("step", "abc"), ("skipped", "a"), ("opt_step", "x"), ("config", [1]),
              ("tensors", flat_dict1)]
+    files = [(key, "", json.dumps(dict(man, **{key: value})).encode() + b"\n" + body)
+             for key, value in edits]
+    # a NaN in the last dictionary and an infinity in Adam's last moment
+    names = [e["name"] for e in man["tensors"]]
+    dict2_at = 8 * sum(int(np.prod(e["shape"])) for e in man["tensors"][:names.index("dict2")])
+    for name, at, value in (("dict2", dict2_at, np.nan), ("adam_v/gamma", len(body) - 8, np.inf)):
+        files.append((name, f"tensor {name} has a non-finite value", manifest + b"\n"
+                      + body[:at] + np.float64(value).tobytes() + body[at + 8:]))
     ck2, h2, rec = (str(tmp_path / name) for name in ("m2.ck", "m2.csv", "rec.txt"))
-    for i, (key, value) in enumerate(edits):
+    for i, (key, message, rest) in enumerate(files):
         bad = str(tmp_path / f"bad{i}.ck")
         with open(bad, "wb") as fh:
-            fh.write(magic + b"\n" + json.dumps(dict(man, **{key: value})).encode()
-                     + b"\n" + body)
+            fh.write(magic + b"\n" + rest)
         for argv, outputs in (
                 (["train", scene, "--checkpoint", ck2, "--history", h2, "--resume", bad]
                  + _TRAIN_FLAGS + ["--total-steps", "80"], [ck2, h2]),
@@ -351,5 +359,5 @@ def test_bad_checkpoint_manifest_fails_cleanly(tmp_path, capsys):
                 (["evaluate", "--coherence", bad], [])):
             capsys.readouterr()
             assert _run(argv) == 1, (key, argv[0])
-            assert capsys.readouterr().err.startswith(f"error: {bad}: "), (key, argv[0])
+            assert capsys.readouterr().err.startswith(f"error: {bad}: {message}"), (key, argv[0])
             assert not any(os.path.exists(p) for p in outputs), (key, argv[0])

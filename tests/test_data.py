@@ -513,6 +513,19 @@ def test_checkpoint_errors(tmp_path):
                          + np.float64(-0.5).tobytes() + blob[offsets[k] + 8:])
     with pytest.raises(CheckpointError, match="negative.bin: thresholds must be non-negative"):
         load_checkpoint(negative)
+    # a NaN or an infinity anywhere in the body, Adam's moments included
+    ck = tmp_path / "adam.bin"
+    save_checkpoint(ck, params, opt_state=OptimizerState.zeros(params), step=1)
+    magic, manifest, blob = ck.read_bytes().split(b"\n", 2)
+    third = len(blob) // 3    # params, then Adam's two moments
+    for name, at, value in (("gamma", third - 8, np.nan), ("adam_m/dict1", third, np.inf),
+                            ("adam_v/gamma", 3 * third - 8, -np.inf)):
+        nonfinite = tmp_path / "nonfinite.bin"
+        nonfinite.write_bytes(magic + b"\n" + manifest + b"\n" + blob[:at]
+                              + np.float64(value).tobytes() + blob[at + 8:])
+        with pytest.raises(CheckpointError,
+                           match=f"nonfinite.bin: tensor {name} has a non-finite value"):
+            load_checkpoint(nonfinite)
 
 
 def test_checkpoint_rejects_moment_of_wrong_shape(tmp_path):

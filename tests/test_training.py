@@ -1,8 +1,10 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from nrsfm.data import PlantedSpec, normalize_scene, synth_planted
-from nrsfm.model import ModelParams
+from nrsfm.model import CameraRankError, ModelParams, forward_batch, loss
 from nrsfm.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, OptimizerState,
                             TrainConfig, _batch_indices, _epoch_perm,
                             adam_step, gradients, init_params,
@@ -27,6 +29,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(normalize="boxes")
     for bad, match in ((dict(base_lr=float("nan")), "learning rate"),
+                       (dict(base_lr=float("inf")), "learning rate"),
                        (dict(decay_steps=0), "decay steps"),
                        (dict(decay_factor=-0.9), "decay factor"),
                        (dict(decay_factor=0.0), "decay factor"),
@@ -340,6 +343,78 @@ def test_reconstruct_matches_final_history_error():
     for _, cam in pairs:
         M = cam.rotation
         assert np.max(np.abs(M.T @ M - np.eye(2))) < 1e-8
+
+
+def _scene(normalize, mode, seed=3):
+    spec = PlantedSpec(points=8, frames=24, layers=2, width_first=6, width_last=3,
+                       sparsity=1, camera_mode=mode, seed=seed)
+    return normalize_scene(synth_planted(spec)[0], normalize)
+
+
+def _valid_frames(scene, params):
+    """The frames of scene, with their records, where params find a valid
+    camera."""
+    idx = np.flatnonzero(forward_batch(scene.measurements, scene.visibility, params)[1])
+    assert idx.size >= 4
+    return replace(scene, **{f.name: a[idx] for f in fields(scene)
+                             if isinstance(a := getattr(scene, f.name), np.ndarray)})
+
+
+@pytest.mark.parametrize("normalize", ["bbox", "center", "none"])
+@pytest.mark.parametrize("mode", ["orthogonal", "weak_perspective"])
+@pytest.mark.parametrize("translation", [False, True])
+def test_scene_error_is_the_history_error(normalize, mode, translation):
+    """scene_error and the history read one scene pass: the same bits."""
+    scene = _scene(normalize, mode)
+    cfg = _small_config(total_steps=20, eval_interval=20, normalize=normalize,
+                        translation=translation)
+    result = train(scene, cfg, verbose=False)
+    assert result.history.records[-1].error3d is not None
+    assert scene_error(scene, result.params) == result.history.records[-1].error3d
+
+
+@pytest.mark.parametrize("normalize", ["bbox", "center", "none"])
+@pytest.mark.parametrize("translation", [False, True])
+def test_reconstruct_denormalizes_each_frame(normalize, translation):
+    """Per frame, reconstruct gives forward_batch's shape times the frame's
+    scale, its polar factor, and centroid + scale * t_hat, bit for bit."""
+    scene = _scene(normalize, "weak_perspective")
+    cfg = _small_config(total_steps=20, normalize=normalize, translation=translation)
+    params = train(scene, cfg, verbose=False).params
+    scene = _valid_frames(scene, params)
+    _, _, cache = forward_batch(scene.measurements, scene.visibility, params)
+    pairs = reconstruct(scene, params)
+    assert len(pairs) == scene.frame_count
+    for f, (S, cam) in enumerate(pairs):
+        scale = 1.0 if scene.norm_scales is None else scene.norm_scales[f]
+        centroid = 0.0 if scene.norm_centroids is None else scene.norm_centroids[f]
+        assert np.array_equal(S, cache["S"][f] * scale)
+        assert np.array_equal(cam.rotation, cache["Q"][f])
+        assert cam.scale == 1.0
+        assert np.array_equal(cam.translation, centroid + scale * cache["t_hat"][f])
+
+
+def test_invalid_camera_names_its_frame():
+    """A 4-row model needs a nonzero homogeneous coordinate: reconstruct and
+    a batched loss name the first frame where it (or the camera) vanished."""
+    scene = _scene("none", "weak_perspective")
+    params = init_params(_small_config(translation=True), scene.point_count)
+    scene = _valid_frames(scene, params)
+    zero_beta = params.copy()
+    zero_beta.beta[:] = 0.0     # psi_N = 0, so every frame's coordinate is 0
+    message = "rank-deficient or homogeneous coordinate vanished at frame"
+    with pytest.raises(CameraRankError, match=f"{message} 0$"):
+        reconstruct(scene, zero_beta)
+    scene.measurements[3] = 0.0     # no signal in frame 3 alone
+    for call in (lambda: reconstruct(scene, params),
+                 lambda: loss(scene.measurements, scene.visibility, params)):
+        with pytest.raises(CameraRankError, match=f"{message} 3$"):
+            call()
+    params3 = init_params(_small_config(), scene.point_count)
+    scene = _valid_frames(_scene("none", "weak_perspective"), params3)
+    scene.measurements[3] = 0.0
+    with pytest.raises(CameraRankError, match="^recovered camera is rank-deficient at frame 3$"):
+        reconstruct(scene, params3)
 
 
 def test_reconstruct_deterministic():
