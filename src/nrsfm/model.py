@@ -13,7 +13,8 @@ Conventions
   (the homogeneous coordinate).
 - forward_batch holds a batch of B masked frames as one P x 2B matrix and
   its block codes block-major, (K, r, B, 2), so that each layer is one
-  matrix product with the batch folded into a dimension.
+  matrix product with the batch folded into a dimension, thresholded in
+  place; its cache holds one array per layer, no pre-activations.
 """
 
 from copy import copy as shallow_copy
@@ -202,22 +203,20 @@ def atom_rows(params):
 
 def _encoder(Xt, params):
     """Block-ISTA encoder over masked frames Xt (P, 2B), frame b in columns
-    2b..2b+1.  Returns the pre-activations and the block codes
-    Psi_1..Psi_N, each (K_i, r, B, 2)."""
+    2b..2b+1.  Returns the block codes Psi_1..Psi_N, each (K_i, r, B, 2),
+    each thresholded in place over its own pre-activation."""
     B = Xt.shape[1] // 2
-    T0 = (params.dictionaries[0].T @ Xt).reshape(-1, 3, B, 2)
+    V = (params.dictionaries[0].T @ Xt).reshape(-1, 3, B, 2)
     if params.block_rows == 4:
         # every atom's implicit column of ones sums the frame's points
         ones_row = Xt.reshape(-1, B, 2).sum(axis=0)
-        T0 = np.concatenate([T0, np.broadcast_to(ones_row, (len(T0), 1, B, 2))], axis=1)
-    pre_acts, blocks = [T0], []
+        V = np.concatenate([V, np.broadcast_to(ones_row, (len(V), 1, B, 2))], axis=1)
+    blocks = []
     for d, b in enumerate(params.enc_thresholds):
-        if d:
-            prev = blocks[-1]
-            pre_acts.append((params.dictionaries[d].T @ prev.reshape(len(prev), -1))
-                            .reshape((-1,) + prev.shape[1:]))
-        blocks.append(threshold(pre_acts[d], b[:, None, None, None], params.activation))
-    return pre_acts, blocks
+        if d:   # V holds Psi_d by now
+            V = (params.dictionaries[d].T @ V.reshape(len(V), -1)).reshape(-1, *V.shape[1:])
+        blocks.append(threshold(V, b[:, None, None, None], params.activation, out=V))
+    return blocks
 
 
 def _bottleneck(PsiN, params):
@@ -225,32 +224,29 @@ def _bottleneck(PsiN, params):
     and camera_raw = sum_k gamma_k Psi_N^k.  Returns psiN (B, K_N) and
     camera_raw (B, r, 2)."""
     K, r, B, _ = PsiN.shape
-    psiN = np.tensordot(PsiN, params.beta, axes=([1, 3], [0, 1])).T
+    # psi_N as np.tensordot forms it: one reshape and one product
+    rows = PsiN.transpose(0, 2, 1, 3).reshape(K * B, 2 * r)
+    psiN = np.dot(rows, params.beta.reshape(-1, 1)).reshape(K, B).T
     Mraw = (params.gamma @ PsiN.reshape(K, -1)).reshape(r, B, 2).transpose(1, 0, 2)
     return psiN, Mraw
 
 
-def _decoder(psiN, params):
+def _decoder(psiN, params, rows):
     """Decoder from codes (B, K_N) to shapes (B, P, 3); the final layer is
-    purely linear.  Returns (S, phi1, records), records holding (dictionary
-    index, input, output) of each thresholded layer in the order the layers
-    are applied."""
-    phi = psiN
-    records = []
+    linear, through rows = atom_rows(params).  Returns (S, phi1, records),
+    records holding (dictionary index, input, output) of each thresholded
+    layer in the order the layers are applied."""
+    phi, records = psiN, []
     for d in range(params.n_layers - 1, 0, -1):
         u = phi @ params.dictionaries[d].T
-        records.append((d, phi, threshold(u, params.dec_thresholds[d - 1], params.activation)))
-        phi = records[-1][-1]
-    return (phi @ atom_rows(params)).reshape(len(phi), -1, 3), phi, records
+        records.append((d, phi, u))     # u is thresholded in place next
+        phi = threshold(u, params.dec_thresholds[d - 1], params.activation, out=u)
+    return (phi @ rows).reshape(len(phi), -1, 3), phi, records
 
 
-def forward_batch(W, vis, params):
-    """Run the full forward pass over a batch of frames.
-
-    W: (B, P, 2), vis: (B, P) boolean.  Returns (losses (B,), valid (B,)
-    boolean, cache) where invalid frames had a rank-deficient camera (their
-    loss is reported but they carry no gradient and should be skipped).
-    """
+def _masked_frames(W, vis, params):
+    """forward_batch's checked (W, vis) and the encoder's input Xt: the
+    P x 2B matrix of masked frames, frame b in columns 2b..2b+1."""
     W = np.asarray(W, dtype=float)
     vis = np.asarray(vis, dtype=bool)
     if W.ndim != 3 or W.shape[2] != 2:
@@ -260,31 +256,43 @@ def forward_batch(W, vis, params):
     P = params.point_count
     if W.shape[1] != P:
         raise ValueError(f"forward_batch: model has {P} points, W has {W.shape[1]}")
-
-    Xt = np.where(vis[:, :, None], W, 0.0).transpose(1, 0, 2).reshape(P, -1)
+    Xt = np.zeros((P, len(W), 2))
+    np.copyto(Xt, W.transpose(1, 0, 2), where=vis.T[:, :, None])
     if not np.isfinite(Xt).all():
         bad = (vis[:, :, None] & ~np.isfinite(W)).any(axis=(1, 2))
         raise ValueError("forward_batch: non-finite measurement at a visible point"
                          + _frame_label(bad))
-    pre_acts, blocks = _encoder(Xt, params)
+    return W, vis, Xt.reshape(P, -1)
+
+
+def forward_batch(W, vis, params):
+    """Run the full forward pass over a batch of frames.
+
+    W: (B, P, 2), vis: (B, P) boolean.  Returns (losses (B,), valid (B,)
+    boolean, cache) where invalid frames had a rank-deficient camera (their
+    loss is reported but they carry no gradient and should be skipped).
+    """
+    W, vis, Xt = _masked_frames(W, vis, params)
+    blocks = _encoder(Xt, params)
     psiN, Mraw = _bottleneck(blocks[-1], params)
     Q, U, s, Vt, valid = polar_factor(Mraw[:, :3, :])
-    S, phi, dec_records = _decoder(psiN, params)
+    rows = atom_rows(params)
+    S, phi, dec_records = _decoder(psiN, params, rows)
 
-    eps = None
-    t_hat = np.zeros((W.shape[0], 2))
+    eps, t_hat = None, np.zeros((len(W), 2))
     if params.block_rows == 4:
         eps = phi.sum(axis=1)
         valid = valid & (np.abs(eps) > HOMOGENEOUS_EPS)
         t_hat = eps[:, None] * Mraw[:, 3, :]
 
-    What = S @ Q + t_hat[:, None, :]
-    resid = np.where(vis[:, :, None], W - What, 0.0)
+    What = S @ Q
+    What += t_hat[:, None, :]
+    resid = np.subtract(W, What, out=np.zeros(W.shape), where=vis[:, :, None])
     losses = np.sqrt(np.sum(resid * resid, axis=(1, 2)) + LOSS_SMOOTHING)
 
     cache = {
-        "Xt": Xt, "pre_acts": pre_acts, "blocks": blocks, "psiN": psiN, "Mraw": Mraw,
-        "U": U, "s": s, "Vt": Vt, "Q": Q, "dec_records": dec_records, "phi1": phi, "S": S,
+        "Xt": Xt, "blocks": blocks, "psiN": psiN, "Mraw": Mraw, "U": U, "s": s, "Vt": Vt,
+        "Q": Q, "atom_rows": rows, "dec_records": dec_records, "phi1": phi, "S": S,
         "eps": eps, "t_hat": t_hat, "What": What, "resid": resid, "losses": losses,
         "valid": valid,
     }
@@ -309,8 +317,6 @@ def backward_batch(cache, params):
     """Exact gradient of the summed loss over valid frames, laid out like
     params: a ModelParams, indexable by param_items name.  Raises
     FloatingPointError naming the first group with a non-finite entry."""
-    act = params.activation
-
     gWhat = -cache["resid"] / cache["losses"][:, None, None] * cache["valid"][:, None, None]
 
     S, Q, Mraw = cache["S"], cache["Q"], cache["Mraw"]
@@ -324,7 +330,7 @@ def backward_batch(cache, params):
     # decoder final (linear) layer, and with 4-row blocks t_hat = sum(phi1) * Mraw[3]
     phi1 = cache["phi1"]
     P, K1 = params.point_count, params.widths[0]
-    gphi = gS @ atom_rows(params).T
+    gphi = gS @ cache["atom_rows"].T
     grads.dictionaries[0] += (phi1.T @ gS).reshape(K1, P, 3).transpose(1, 0, 2).reshape(P, 3 * K1)
     if params.block_rows == 4:
         gt = gWhat.sum(axis=1)
@@ -333,23 +339,24 @@ def backward_batch(cache, params):
 
     # decoder thresholded layers, the last one applied first
     for d, phi_in, out in reversed(cache["dec_records"]):
-        gu, gnb = _threshold_vjp(gphi, out, act)
+        gu, gnb = _threshold_vjp(gphi, out, params.activation)
         grads.dec_thresholds[d - 1] -= gnb.sum(axis=0)
         grads.dictionaries[d] += gu.T @ phi_in
         gphi = gu @ params.dictionaries[d]
     gpsiN = gphi
 
-    # bottleneck
+    # bottleneck, beta's product formed as np.tensordot forms it
     blocksN = cache["blocks"][-1]
     gMraw_t = gMraw.transpose(1, 0, 2)
-    grads.beta += np.tensordot(gpsiN.T, blocksN, axes=([0, 1], [0, 2]))
+    rows = blocksN.transpose(0, 2, 1, 3).reshape(-1, 2 * params.block_rows)
+    grads.beta += np.dot(gpsiN.T.reshape(1, -1), rows).reshape(params.beta.shape)
     grads.gamma += blocksN.reshape(len(blocksN), -1) @ gMraw_t.ravel()
     gPsi = (params.beta[:, None, :] * gpsiN.T[:, None, :, None]
             + params.gamma[:, None, None, None] * gMraw_t)
 
     # encoder layers N..1
     for d in range(params.n_layers - 1, -1, -1):
-        gV, gnb = _threshold_vjp(gPsi, cache["blocks"][d], act)
+        gV, gnb = _threshold_vjp(gPsi, cache["blocks"][d], params.activation)
         grads.enc_thresholds[d] -= gnb.sum(axis=(1, 2, 3))
         if d:
             gV2 = gV.reshape(len(gV), -1)
@@ -385,8 +392,8 @@ def require_valid(valid, params):
 def encode(W, mask, params):
     """Hierarchical block-ISTA encoder for one frame; returns the list of
     block codes Psi_1..Psi_N, each (K_i, r, 2)."""
-    _, _, cache = forward_batch(*_one_frame(W, mask), params)
-    return [blk[:, :, 0] for blk in cache["blocks"]]
+    _, _, Xt = _masked_frames(*_one_frame(W, mask), params)
+    return [blk[:, :, 0] for blk in _encoder(Xt, params)]
 
 
 def recover_code_camera(PsiN, params):
@@ -405,7 +412,7 @@ def decode(psiN, params):
     psiN = np.asarray(psiN, dtype=float)
     if psiN.shape != (params.widths[-1],):
         raise ValueError("decode: code length must equal K_N")
-    return _decoder(psiN[None], params)[0][0]
+    return _decoder(psiN[None], params, atom_rows(params))[0][0]
 
 
 def forward(W, mask, params):

@@ -10,13 +10,15 @@ import numpy as np
 ACTIVATIONS = ("relu", "soft")
 
 
-def threshold(x, b, activation):
-    """The thresholding kernel, unvalidated: "relu" gives max(x - b, 0),
-    anything else the two-sided shrink sign(x) * max(|x| - b, 0).  b
-    broadcasts against x."""
+def threshold(x, b, activation, out=None):
+    """The thresholding kernel, unvalidated: "relu" gives max(x - b, 0), anything
+    else the two-sided shrink sign(x) * max(|x| - b, 0), b broadcast against x.
+    out=x overwrites x through the same ufuncs on the same operands: same bits."""
     if activation == "relu":
-        return np.maximum(x - b, 0.0)
-    return np.sign(x) * np.maximum(np.abs(x) - b, 0.0)
+        return np.maximum(np.subtract(x, b, out=out), 0.0, out=out)
+    s = np.sign(x)
+    y = np.subtract(np.abs(x, out=out), b, out=out)
+    return np.multiply(s, np.maximum(y, 0.0, out=out), out=out)
 
 
 def _nonneg(b, caller):

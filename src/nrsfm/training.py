@@ -160,8 +160,8 @@ def _scene_pass(scene, params):
     losses, valid, cache = scene_forward(scene, params)
     scales = np.ones(scene.frame_count) if scene.norm_scales is None else scene.norm_scales
     centroids = 0.0 if scene.norm_centroids is None else scene.norm_centroids
-    return (losses, valid, cache["S"] * scales[:, None, None], cache["Q"],
-            centroids + scales[:, None] * cache["t_hat"])
+    return (losses, valid, np.multiply(cache["S"], scales[:, None, None], out=cache["S"]),
+            cache["Q"], centroids + scales[:, None] * cache["t_hat"])
 
 
 def _evaluate(scene, params):

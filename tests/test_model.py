@@ -7,7 +7,7 @@ from nrsfm.model import (POLAR_CLAMP, CameraRankError, ModelParams,
                          backward_batch, decode, default_beta, default_gamma,
                          encode, forward, forward_batch, loss, polar_vjp,
                          recover_code_camera)
-from nrsfm.sparse import block_ista_step, block_sparsity
+from nrsfm.sparse import block_ista_step, block_sparsity, threshold
 from nrsfm.training import gradients
 
 
@@ -185,6 +185,53 @@ def test_encode_masking_zeroes_rows():
     rhs = encode(Wz, None, params)
     for a, b in zip(lhs, rhs):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("block_rows,activation", [(3, "relu"), (4, "soft")])
+def test_forward_passes_leave_their_inputs_unchanged(block_rows, activation):
+    """The layers are thresholded in place, over fresh products only: W, vis
+    and params.flat keep their bytes, also through a single frame, which
+    reaches forward_batch as a view of the caller's array."""
+    rng = np.random.default_rng(46)
+    params = _random_params(rng, P=6, widths=(6, 4, 3), activation=activation,
+                            block_rows=block_rows, thresholds=0.02)
+    W = rng.standard_normal((5, 6, 2)) + (2.0 if block_rows == 4 else 0.0)
+    vis = rng.random((5, 6)) > 0.25
+    W[~vis] = np.nan
+    W[0, 0, 0] = -0.0
+    vis[0, 0] = True
+    before = W.copy(), vis.copy(), params.flat.copy()
+    backward_batch(forward_batch(W, vis, params)[2], params)
+    forward(W[0], vis[0], params)
+    encode(W[0], vis[0], params)
+    for a, b in zip((W, vis, params.flat), before):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_encode_runs_the_encoder_only(monkeypatch):
+    """encode's codes are forward_batch's, bit for bit, without the camera,
+    the decoder or the loss; bad input raises forward_batch's errors."""
+    rng = np.random.default_rng(47)
+    params = _random_params(rng, P=5, widths=(6, 4, 3), activation="soft",
+                            block_rows=4, thresholds=0.02)
+    W = rng.standard_normal((5, 2)) + 2.0
+    mask = np.array([1, 1, 0, 1, 1], dtype=bool)
+    blocks = forward_batch(W[None], mask[None], params)[2]["blocks"]
+
+    def not_called(*args):
+        raise AssertionError("encode ran past the encoder")
+
+    monkeypatch.setattr(nrsfm.model, "polar_factor", not_called)
+    monkeypatch.setattr(nrsfm.model, "_decoder", not_called)
+    for code, blk in zip(encode(W, mask, params), blocks, strict=True):
+        assert code.tobytes() == blk[:, :, 0].tobytes()
+    bad = W.copy()
+    bad[3, 1] = np.inf
+    for args, match in (((bad, mask), "non-finite measurement at a visible point"),
+                        ((W[:4], None), "model has 5 points, W has 4"),
+                        ((W, mask[:4]), "visibility shape must match W")):
+        with pytest.raises(ValueError, match="^forward_batch: " + match):
+            encode(*args, params)
 
 
 def test_block_sparsity_monotone_in_encoder_threshold():
@@ -531,10 +578,14 @@ def test_batch_axis_matches_single_frames(layers, block_rows, activation):
         assert _rel_close(cache["Q"][f], c1["Q"][0])
         for name, g in backward_batch(c1, params).param_items():
             summed[name] += g
-        if block_rows == 3:
-            D1X = block_ista_step(W[f], params.dictionaries[0], np.zeros(6),
-                                  mask=vis[f])
-            assert _rel_close(cache["pre_acts"][0][:, :, f], D1X)
+        # layer 1 is one masked block-ISTA step under the model's thresholds;
+        # with 4-row blocks each atom carries its column of ones
+        D1 = params.dictionaries[0].reshape(7, 6, 3)
+        if block_rows == 4:
+            D1 = np.concatenate([D1, np.ones((7, 6, 1))], axis=2)
+        Psi1 = block_ista_step(W[f], D1.reshape(7, -1), params.enc_thresholds[0],
+                               mask=vis[f], mode=activation)
+        assert _rel_close(cache["blocks"][0][:, :, f], Psi1)
     for name, g in grads.param_items():
         assert _rel_close(g, summed[name]), name
 
@@ -593,14 +644,34 @@ def test_non_finite_visible_measurement_is_a_named_error():
             forward(bad[3], None, params)
 
 
+def _encoder_pre_acts(cache, params):
+    """Each encoder layer's pre-activation, recomputed from its input in the
+    cache with the forward pass's own products: D1^T Xt, with the row of
+    ones sums under 4-row blocks, and D_d^T Psi_{d-1}."""
+    Xt, blocks = cache["Xt"], cache["blocks"]
+    B = Xt.shape[1] // 2
+    v = (params.dictionaries[0].T @ Xt).reshape(-1, 3, B, 2)
+    if params.block_rows == 4:
+        ones_row = Xt.reshape(-1, B, 2).sum(axis=0)
+        v = np.concatenate([v, np.broadcast_to(ones_row, (len(v), 1, B, 2))], axis=1)
+    pre_acts = [v]
+    for D, prev in zip(params.dictionaries[1:], blocks):
+        pre_acts.append((D.T @ prev.reshape(len(prev), -1)).reshape((-1,) + prev.shape[1:]))
+    return pre_acts
+
+
 def _threshold_layers(cache, params):
     """(pre-activation, threshold broadcast against it) of every thresholded
-    layer, recomputed for the decoder: its layers in the order they are
-    applied, and the encoder's."""
+    layer, recomputed: the decoder's in the order they are applied, and the
+    encoder's.  Thresholding them gives the stored outputs, bit for bit."""
     decoder = [(phi_in @ params.dictionaries[d].T, params.dec_thresholds[d - 1])
                for d, phi_in, _ in cache["dec_records"]]
     encoder = [(v, b[:, None, None, None])
-               for v, b in zip(cache["pre_acts"], params.enc_thresholds)]
+               for v, b in zip(_encoder_pre_acts(cache, params), params.enc_thresholds)]
+    outputs = [out for _, _, out in cache["dec_records"]] + cache["blocks"]
+    for (v, b), out in zip(decoder + encoder, outputs, strict=True):
+        assert np.array_equal(threshold(v, b, params.activation).view(np.uint64),
+                              out.view(np.uint64))
     return decoder, encoder
 
 
@@ -654,7 +725,7 @@ def _set_ties(params, W, vis):
     for D in params.dictionaries[1:]:
         D[1, :] = 0.0       # decoder unit 1 of the layer before
     for d, b in enumerate(params.enc_thresholds):
-        tie(b, forward_batch(W, vis, params)[2]["pre_acts"][d])
+        tie(b, _encoder_pre_acts(forward_batch(W, vis, params)[2], params)[d])
     for i, b in enumerate(params.dec_thresholds[::-1]):
         u = _threshold_layers(forward_batch(W, vis, params)[2], params)[0][i][0]
         tie(b, u.T)

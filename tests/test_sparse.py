@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nrsfm.sparse import (block_ista_step, block_sparsity, block_threshold,
-                          group_prox, ista, soft_threshold)
+                          group_prox, ista, soft_threshold, threshold)
 
 
 def test_soft_threshold_cases():
@@ -25,6 +25,27 @@ def test_soft_threshold_odd_and_nonexpansive():
     b = rng.uniform(0, 2, 200)
     assert np.allclose(soft_threshold(-x, b), -soft_threshold(x, b))
     assert np.all(np.abs(soft_threshold(x, b) - soft_threshold(y, b)) <= np.abs(x - y) + 1e-15)
+
+
+@pytest.mark.parametrize("activation", ["relu", "soft"])
+def test_threshold_in_place_writes_the_same_bytes(activation):
+    """threshold(x, b, act, out=x) overwrites x with the bytes of the
+    out-of-place call, -0.0 told from +0.0: entries at exactly +-b and at
+    +-0.0, a zero b, and b per block, per entry and as a scalar."""
+    rng = np.random.default_rng(12)
+    b = rng.uniform(0.1, 1.0, (4, 1, 1))
+    b[1] = 0.0
+    x = rng.standard_normal((4, 3, 5))
+    x[:, 0, 0], x[:, 0, 1] = b[:, 0, 0], -b[:, 0, 0]
+    x[:, 1, 0], x[:, 1, 1] = 0.0, -0.0
+    for bb in (b, np.broadcast_to(b, x.shape).copy(), 0.0, 0.5):
+        want = threshold(x, bb, activation)
+        got = x.copy()
+        assert threshold(got, bb, activation, out=got) is got
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # soft shrinks small negative entries to -0.0, which == cannot tell apart
+    shrunk = threshold(x, b, "soft")
+    assert np.any((shrunk == 0) & np.signbit(shrunk))
 
 
 def _composite(x, D, z, tau):

@@ -12,7 +12,9 @@ output holds every run's end-to-end metrics and correctness, each side's
 median and quartiles, the number of pairs the change wins, the seeds, and
 the environment that perfbench reports (BLAS threads, nproc, numpy); each
 run also keeps its wall times and reference bursts, so a disturbed run can
-be told from the file alone.
+be told from the file alone.  Per metric, the seeds at which either side's
+value lies outside that side's Tukey fences (Q1 - 1.5 IQR to Q3 + 1.5 IQR)
+are listed, with the pairs the change wins once those seeds are left out.
 """
 
 import argparse
@@ -66,20 +68,33 @@ def spread(values):
     return {"median": q2, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def outside_fences(values, stats):
+    """Indices of the values outside Tukey's fences, Q1 - 1.5 IQR to
+    Q3 + 1.5 IQR, of their own side's quartiles."""
+    lo, hi = stats["q1"] - 1.5 * stats["iqr"], stats["q3"] + 1.5 * stats["iqr"]
+    return {i for i, v in enumerate(values) if not lo <= v <= hi}
+
+
 def summarise(pairs, metrics):
     """Per metric: each side's median and quartiles, the change's wins, and
-    whether it is better in the median by more than the base's IQR."""
+    whether it is better in the median by more than the base's IQR; then the
+    seeds where either side lies outside its Tukey fences, and the change's
+    wins over the other pairs."""
     out = {}
     for name, better in metrics.items():
         values = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
         stats = {side: spread(values[side]) for side in SIDES}
         sign = 1 if better == "lower" else -1
-        wins = sum(sign * (b - c) > 0 for b, c in zip(values["base"], values["change"]))
+        won = [sign * (b - c) > 0 for b, c in zip(values["base"], values["change"])]
         gain = sign * (stats["base"]["median"] - stats["change"]["median"])
+        outliers = set().union(*(outside_fences(values[side], stats[side]) for side in SIDES))
         out[name] = {
-            "better": better, **stats, "change_wins": wins, "pairs": len(pairs),
+            "better": better, **stats, "change_wins": sum(won), "pairs": len(pairs),
             "median_change_pct": 100 * (stats["change"]["median"] / stats["base"]["median"] - 1),
-            "gain_exceeds_base_iqr": gain > stats["base"]["iqr"]}
+            "gain_exceeds_base_iqr": gain > stats["base"]["iqr"],
+            "tukey_outlier_seeds": [pairs[i]["seed"] for i in sorted(outliers)],
+            "change_wins_without_outliers": sum(w for i, w in enumerate(won) if i not in outliers),
+            "pairs_without_outliers": len(pairs) - len(outliers)}
     return out
 
 
