@@ -30,7 +30,11 @@ print("3D error went", round(history.records[0].error3d, 4), "->",
       round(history.records[-1].error3d, 4))
 
 # Coherence of the last dictionary is the paper's proxy for model quality
-# when no 3D ground truth is available: it tends to track the 3D error.
+# when no 3D ground truth is available, lower meaning better.  Measured on
+# planted scenes it runs the other way: over 15 runs its Spearman
+# correlation with the final 3D error is -0.79, and within one run
+# (acceptance criterion 9) the Pearson r is -0.788.  The mean training loss
+# ranks the same 15 runs at +0.996.
 co = history.column("coherence")
 print("coherence trace:", [round(c, 3) for c in co])
 

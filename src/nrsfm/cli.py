@@ -18,8 +18,8 @@ from .data import (PlantedSpec, load_checkpoint, load_scene, normalize_scene,
                    save_checkpoint, save_scene, synth_planted)
 from .geometry import frame_3d_errors, mutual_coherence
 from .model import CameraRankError
-from .training import (HistoryRecord, OptimizerState, TrainConfig,
-                       last_dictionary_atoms, reconstruct, train)
+from .training import (HistoryRecord, TrainConfig, last_dictionary_atoms,
+                       reconstruct, train)
 
 _CONFIG_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
 
@@ -107,8 +107,6 @@ def cmd_train(args, artifacts):
     init = None
     if args.resume:
         params, _, opt_state, step, skipped = load_checkpoint(args.resume)
-        if opt_state is None:
-            opt_state = OptimizerState.zeros(params)
         init = (params, opt_state, step, skipped)
 
     result = train(scene_n, config, init=init, verbose=not args.quiet)

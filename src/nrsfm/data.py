@@ -21,6 +21,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, asdict, field, fields, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -307,6 +308,8 @@ def load_scene(path):
         keys = arr[:, :n_keys]
         if not np.all((keys >= 0) & (keys < grid) & (keys == np.floor(keys))):
             raise SceneFormatError(f"{path}: section [{name}] has an index outside the grid")
+        if name != "measurements" and not np.isfinite(arr).all():
+            raise SceneFormatError(f"{path}: section [{name}] has a non-finite value")
         order = np.full(expected_rows, -1)
         order[np.ravel_multi_index(keys.astype(np.int64).T, grid)] = np.arange(expected_rows)
         if np.any(order < 0):
@@ -379,7 +382,7 @@ def load_checkpoint(path):
         line, body = fh.readline(), fh.read()
     try:
         manifest = json.loads(line)
-        shapes = {e["name"]: e["shape"] for e in manifest["tensors"]}
+        shapes = [(e["name"], e["shape"]) for e in manifest["tensors"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed manifest ({exc!r})") from None
     for key in ("step", "skipped", "opt_step"):
@@ -389,23 +392,22 @@ def load_checkpoint(path):
     if not isinstance(manifest.get("config"), (dict, type(None))):
         raise CheckpointError(f"{path}: config is {manifest['config']!r}, "
                               "expected a JSON object or null")
-    for name, shape in shapes.items():
-        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
-            raise CheckpointError(f"{path}: tensor {name} has shape {shape!r}, expected "
-                                  "a list of non-negative integers")
-    sizes = [math.prod(shape) for shape in shapes.values()]
+    for name, shape in shapes:
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(type(n) is int and n >= 0 for n in shape)):
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {shape!r}, expected "
+                                  "a name and a list of non-negative integers")
+    sizes = [math.prod(shape) for _, shape in shapes]
     if len(body) != 8 * sum(sizes):
         raise CheckpointError(f"{path}: the manifest's tensors take {8 * sum(sizes)} bytes, "
                               f"the body has {len(body)} (truncated, or trailing bytes)")
     arrays = np.split(np.frombuffer(body, dtype="<f8"), np.cumsum(sizes)[:-1])
-    tensors = {name: a.reshape(shape) for (name, shape), a in zip(shapes.items(), arrays)}
+    tensors = {name: a.reshape(shape) for (name, shape), a in zip(shapes, arrays)}
     for name, a in tensors.items():
         if not np.isfinite(a).all():
             raise CheckpointError(f"{path}: tensor {name} has a non-finite value")
     try:
-        n_layers = 1
-        while f"dict{n_layers + 1}" in tensors:
-            n_layers += 1
+        n_layers = sum(name.startswith("dict") for name in tensors)
         params = ModelParams(
             [tensors[f"dict{i}"] for i in range(1, n_layers + 1)],
             [tensors[f"enc_b{i}"] for i in range(1, n_layers + 1)],
@@ -416,13 +418,15 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: checkpoint lacks {exc}") from None
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
+    opt_step = manifest.get("opt_step")
+    want = _tensor_entries(params, ("", "adam_m/", "adam_v/")[:1 if opt_step is None else 3])
+    if manifest["tensors"] != want:
+        k, have, need = next((k, h, w) for k, (h, w) in
+                             enumerate(zip_longest(manifest["tensors"], want)) if h != w)
+        raise CheckpointError(f"{path}: tensor entry {k} is {have}, expected {need}")
     opt_state = None
-    if manifest.get("opt_step") is not None:
-        want = _tensor_entries(params, ("adam_m/", "adam_v/"))
-        if (have := manifest["tensors"][-len(want):]) != want:
-            bad = next(w for k, w in enumerate(want) if have[k:k + 1] != [w])
-            raise CheckpointError(f"{path}: expected tensor {bad['name']}, shape {bad['shape']}")
+    if opt_step is not None:
         moments = np.frombuffer(body, dtype="<f8")[-2 * params.flat.size:].reshape(2, -1)
-        opt_state = OptimizerState(*moments.copy(), manifest["opt_step"])
+        opt_state = OptimizerState(*moments.copy(), opt_step)
     return (params, manifest.get("config"), opt_state,
             manifest.get("step", 0), manifest.get("skipped", 0))

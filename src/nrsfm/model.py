@@ -244,6 +244,14 @@ def _decoder(psiN, params, rows):
     return (phi @ rows).reshape(len(phi), -1, 3), phi, records
 
 
+def as_batch(W, mask):
+    """Frames (B, P, 2), or one frame (P, 2), and their mask (None: all
+    visible) as the (W, vis) batch that forward_batch takes."""
+    W = np.asarray(W, dtype=float)
+    mask = np.ones(W.shape[:-1], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    return (W[None], mask[None]) if W.ndim == 2 else (W, mask)
+
+
 def _masked_frames(W, vis, params):
     """forward_batch's checked (W, vis) and the encoder's input Xt: the
     P x 2B matrix of masked frames, frame b in columns 2b..2b+1."""
@@ -371,14 +379,6 @@ def backward_batch(cache, params):
     return grads
 
 
-def _one_frame(W, mask):
-    """One frame and its mask (None: all visible) as a batch of one."""
-    W = np.asarray(W, dtype=float)
-    if mask is None:
-        mask = np.ones(W.shape[0], dtype=bool)
-    return W[None], np.asarray(mask, dtype=bool)[None]
-
-
 def require_valid(valid, params):
     """Raise CameraRankError unless every camera in valid (one frame's flag,
     or a batch's) is valid, naming a batch's first bad frame."""
@@ -390,10 +390,12 @@ def require_valid(valid, params):
 
 
 def encode(W, mask, params):
-    """Hierarchical block-ISTA encoder for one frame; returns the list of
-    block codes Psi_1..Psi_N, each (K_i, r, 2)."""
-    _, _, Xt = _masked_frames(*_one_frame(W, mask), params)
-    return [blk[:, :, 0] for blk in _encoder(Xt, params)]
+    """Hierarchical block-ISTA encoder for one frame or a batch (see
+    as_batch); returns the list of block codes Psi_1..Psi_N, each (K_i, r, 2)
+    for one frame and (B, K_i, r, 2) for a batch."""
+    _, _, Xt = _masked_frames(*as_batch(W, mask), params)
+    codes = [np.moveaxis(blk, 2, 0) for blk in _encoder(Xt, params)]
+    return codes if np.ndim(W) == 3 else [c[0] for c in codes]
 
 
 def recover_code_camera(PsiN, params):
@@ -416,8 +418,10 @@ def decode(psiN, params):
 
 
 def forward(W, mask, params):
-    """Full forward pass for one frame."""
-    losses, valid, cache = forward_batch(*_one_frame(W, mask), params)
+    """Full forward pass for one frame (P, 2); mask None is all visible."""
+    if np.ndim(W) != 2:
+        raise ValueError(f"forward: W must be one frame (P, 2), got shape {np.shape(W)}")
+    losses, valid, cache = forward_batch(*as_batch(W, mask), params)
     require_valid(valid[0], params)
     return ForwardOutput(
         hidden_blocks=cache["blocks"][-1][:, :, 0],
@@ -433,12 +437,7 @@ def forward(W, mask, params):
 def loss(W, mask, params):
     """Masked reprojection loss: per frame the smoothed unsquared Frobenius
     norm of the visible residual, summed over the batch (W (B, P, 2)) or
-    for one frame (W (P, 2))."""
-    W = np.asarray(W, dtype=float)
-    if W.ndim == 2:
-        return forward(W, mask, params).loss_value
-    if mask is None:
-        mask = np.ones(W.shape[:2], dtype=bool)
-    losses, valid, _ = forward_batch(W, mask, params)
-    require_valid(valid, params)
+    for one frame (W (P, 2)); see as_batch."""
+    losses, valid, _ = forward_batch(*as_batch(W, mask), params)
+    require_valid(valid if np.ndim(W) == 3 else valid[0], params)
     return float(losses.sum())

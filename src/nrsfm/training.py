@@ -2,6 +2,7 @@
 loop, and inference over a trained model."""
 
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -98,15 +99,12 @@ def init_params(config, point_count, seed=None):
 
 
 def gradients(params, measurements, masks):
-    """Exact gradient of the summed loss over the batch (or one frame) with
-    respect to every parameter, laid out like params (a ModelParams; index
-    it by param_items name).  Rank-deficient frames contribute nothing.
-    Raises FloatingPointError if any gradient entry is non-finite, naming
-    the parameter group."""
-    measurements = np.asarray(measurements, dtype=float)
-    if measurements.ndim == 2:
-        measurements = measurements[None]
-        masks = np.asarray(masks, dtype=bool)[None]
+    """Exact gradient of the summed loss over the batch (or one frame; see
+    model.as_batch) with respect to every parameter, laid out like params (a
+    ModelParams; index it by param_items name).  Rank-deficient frames
+    contribute nothing.  Raises FloatingPointError if any gradient entry is
+    non-finite, naming the parameter group."""
+    measurements, masks = mdl.as_batch(measurements, masks)
     if measurements.shape[0] == 0:
         raise ValueError("gradients: empty batch")
     _, _, cache = mdl.forward_batch(measurements, masks, params)
@@ -188,20 +186,13 @@ def scene_error(scene, params):
     return error
 
 
-def _epoch_perm(seed, epoch, n):
-    return np.random.default_rng([seed, 7919, epoch]).permutation(n)
-
-
-def _batch_indices(seed, n_frames, step, batch_size, perms):
-    """Frame indices of training step `step`: entries step*B .. step*B+B-1 of
-    the seeded per-epoch permutations laid end to end.  perms caches epoch ->
-    permutation and keeps only the epochs this batch touches."""
-    g = step * batch_size + np.arange(batch_size)
-    epochs = range(g[0] // n_frames, g[-1] // n_frames + 1)
-    live = {e: perms[e] if e in perms else _epoch_perm(seed, e, n_frames) for e in epochs}
-    perms.clear()
-    perms.update(live)
-    return np.concatenate(list(live.values()))[g - epochs[0] * n_frames]
+def _frame_stream(seed, n_frames, start):
+    """Training's frame indices from entry start on: the seeded per-epoch
+    permutations laid end to end."""
+    epoch, pos = divmod(start, n_frames)
+    for epoch in count(epoch):
+        yield from np.random.default_rng([seed, 7919, epoch]).permutation(n_frames)[pos:].tolist()
+        pos = 0
 
 
 @dataclass
@@ -216,33 +207,31 @@ def train(scene, config, init=None, verbose=True):
     """Minibatch Adam over seeded-shuffled frames.  Records full-scene mean
     loss, final-dictionary coherence, and (with ground truth) normalized 3D
     error every eval_interval steps.  Deterministic given (scene, config,
-    seed).  Pass init=(params, opt_state, start_step, skipped) to resume;
-    the params must have the layers, widths, activation and block rows of
-    the config, and start_step must not pass config.total_steps.  Returns a
-    TrainResult."""
+    seed).  Pass init=(params, opt_state, start_step, skipped) to resume
+    (opt_state None: a fresh Adam state); the params must have the layers,
+    widths, activation and block rows of the config, and start_step must not
+    pass config.total_steps.  Returns a TrainResult."""
     if scene.frame_count == 0:
         raise ValueError("empty scene")
     if config.normalize != "none" and not scene.is_normalized:
         raise ValueError("scene must be pre-normalized (see normalize_scene) "
                          "or config.normalize set to 'none'")
-    if init is None:
-        params = init_params(config, scene.point_count)
+    params, opt_state, start_step, skipped = init or (
+        init_params(config, scene.point_count), None, 0, 0)
+    have = (params.n_layers, params.widths, params.activation, params.block_rows)
+    want = (config.layers, config.widths, config.activation, config.block_rows)
+    if have != want:
+        raise ValueError("resume: checkpoint has (layers, widths, activation, block "
+                         f"rows) {have} but the config asks for {want}")
+    if start_step > config.total_steps:
+        raise ValueError(f"resume: checkpoint is at step {start_step}, past "
+                         f"total_steps {config.total_steps}")
+    params = params.copy()
+    if opt_state is None:
         opt_state = OptimizerState.zeros(params)
-        start_step, skipped = 0, 0
-    else:
-        params, opt_state, start_step, skipped = init
-        have = (params.n_layers, params.widths, params.activation, params.block_rows)
-        want = (config.layers, config.widths, config.activation, config.block_rows)
-        if have != want:
-            raise ValueError("resume: checkpoint has (layers, widths, activation, block "
-                             f"rows) {have} but the config asks for {want}")
-        if start_step > config.total_steps:
-            raise ValueError(f"resume: checkpoint is at step {start_step}, past "
-                             f"total_steps {config.total_steps}")
-        params = params.copy()
 
     history = TrainHistory()
-    perms = {}
+    frames = _frame_stream(config.seed, scene.frame_count, start_step * config.batch_size)
 
     def record(step):
         mean_loss, error3d = _evaluate(scene, params)
@@ -258,8 +247,7 @@ def train(scene, config, init=None, verbose=True):
     if start_step == 0:
         record(0)
     for step in range(start_step, config.total_steps):
-        idx = _batch_indices(config.seed, scene.frame_count, step,
-                             config.batch_size, perms)
+        idx = np.fromiter(frames, np.intp, config.batch_size)
         _, valid, cache = mdl.forward_batch(scene.measurements[idx],
                                             scene.visibility[idx], params)
         skipped += int(np.count_nonzero(~valid))

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import warnings
 from dataclasses import fields, replace
 
@@ -321,6 +322,12 @@ def test_scene_load_errors(tmp_path):
     lines[i] = ",".join(lines[i].split(",")[:2] + ["nan", "nan", "0"])
     (tmp_path / "hidden.txt").write_text("\n".join(lines) + "\n")
     assert not load_scene(tmp_path / "hidden.txt").visibility[0, 3]
+    # a NaN or an infinity in an optional section
+    for section, row, field in (("shapes", 2, 3), ("cameras", 1, 4), ("cameras", 0, 8)):
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(SceneFormatError,
+                               match=f"nonfinite.txt: section \\[{section}\\] has a non-finite"):
+                load_scene(edited("nonfinite.txt", section, row, field, value))
     # visible flags other than 0 and 1
     for value in ("2", "0.5", "-1"):
         with pytest.raises(SceneFormatError, match="visible"):
@@ -485,13 +492,15 @@ def test_checkpoint_errors(tmp_path):
     with pytest.raises(CheckpointError, match="beta"):
         load_checkpoint(lacking)
     # manifests that are not JSON, not an object or without a tensor list,
-    # and shapes that are not lists of non-negative integers (a truncated
-    # 2.5 would match gamma's true size of 2)
+    # shapes that are not lists of non-negative integers (a truncated 2.5
+    # would match gamma's true size of 2), and a name that is not a string
     full = json.loads(manifest)
     lines = [b"{not json", b"[]", json.dumps(dict(full, tensors=5)).encode()]
     lines += [json.dumps(dict(full, tensors=[dict(e, shape=shape) if e["name"] == "gamma"
                                              else e for e in entries])).encode()
               for shape in ([-1], "ab", [2.5])]
+    lines.append(json.dumps(dict(full, tensors=[dict(e, name=7) if e["name"] == "gamma"
+                                                else e for e in entries])).encode())
     # scalars that are not non-negative integers and a config that is not an
     # object; a block_rows the model rejects; dict1 ([5, 12]) given as [60],
     # the same byte count at the wrong rank
@@ -517,7 +526,30 @@ def test_checkpoint_errors(tmp_path):
     ck = tmp_path / "adam.bin"
     save_checkpoint(ck, params, opt_state=OptimizerState.zeros(params), step=1)
     magic, manifest, blob = ck.read_bytes().split(b"\n", 2)
+    # tensor lists no writer produces: a stray tensor between the parameters
+    # and Adam's moments, two tensors swapped with their bytes, Adam's
+    # moments under no optimizer step, and the last tensor listed twice
+    man = json.loads(manifest)
+    entries = man["tensors"]
     third = len(blob) // 3    # params, then Adam's two moments
+    stray = dict(man, tensors=entries[:len(entries) // 3] + [{"name": "extra", "shape": [1]}]
+                 + entries[len(entries) // 3:])
+    k = [e["name"] for e in entries].index("beta")
+    at = [8 * sum(int(np.prod(e["shape"])) for e in entries[:i]) for i in (k, k + 1, k + 2)]
+    swapped = dict(man, tensors=entries[:k] + [entries[k + 1], entries[k]] + entries[k + 2:])
+    for name, listed, body, match in (
+            ("stray", stray, blob[:third] + bytes(8) + blob[third:],
+             "tensor entry 7 is {'name': 'extra', 'shape': [1]}, expected {'name': 'adam_m/dict1'"),
+            ("swapped", swapped, blob[:at[0]] + blob[at[1]:at[2]] + blob[at[0]:at[1]] + blob[at[2]:],
+             "tensor entry 5 is {'name': 'gamma', 'shape': [2]}, expected {'name': 'beta'"),
+            ("no-opt-step", dict(man, opt_step=None), blob,
+             "tensor entry 7 is {'name': 'adam_m/dict1', 'shape': [5, 12]}, expected None"),
+            ("twice", dict(man, tensors=entries + entries[-1:]), blob + blob[-16:],
+             "tensor entry 21 is {'name': 'adam_v/gamma', 'shape': [2]}, expected None")):
+        listing = tmp_path / f"{name}.bin"
+        listing.write_bytes(magic + b"\n" + json.dumps(listed).encode() + b"\n" + body)
+        with pytest.raises(CheckpointError, match=re.escape(f"{name}.bin: {match}")):
+            load_checkpoint(listing)
     for name, at, value in (("gamma", third - 8, np.nan), ("adam_m/dict1", third, np.inf),
                             ("adam_v/gamma", 3 * third - 8, -np.inf)):
         nonfinite = tmp_path / "nonfinite.bin"

@@ -3,7 +3,7 @@ import pytest
 
 from nrsfm.geometry import random_rotation
 import nrsfm.model
-from nrsfm.model import (POLAR_CLAMP, CameraRankError, ModelParams,
+from nrsfm.model import (POLAR_CLAMP, CameraRankError, ModelParams, as_batch,
                          backward_batch, decode, default_beta, default_gamma,
                          encode, forward, forward_batch, loss, polar_vjp,
                          recover_code_camera)
@@ -424,6 +424,30 @@ def test_loss_batch_is_sum_of_frames():
     total = loss(W, None, params)
     each = sum(loss(W[i], None, params) for i in range(3))
     assert np.isclose(total, each, atol=1e-12)
+
+
+def test_one_frame_is_a_batch_of_one():
+    """as_batch makes one frame (P, 2) a batch of one and mask None all
+    visible: forward and loss give the bytes of the batched call.  encode
+    and loss take a batch too; forward refuses one."""
+    rng = np.random.default_rng(48)
+    params = _random_params(rng, thresholds=0.02)
+    W = rng.standard_normal((3, 5, 2))
+    vis = np.ones((3, 5), dtype=bool)
+    Wb, visb = as_batch(W[1], None)
+    assert Wb.shape == (1, 5, 2) and visb.dtype == bool and visb.shape == (1, 5) and visb.all()
+    losses, _, cache = forward_batch(W[1:2], vis[1:2], params)
+    out = forward(W[1], None, params)
+    assert out.loss_value == loss(W[1], None, params) == losses[0]
+    assert out.shape.tobytes() == cache["S"][0].tobytes()
+    assert loss(W, None, params) == float(forward_batch(W, vis, params)[0].sum())
+    batch_codes = encode(W, None, params)
+    assert [c.shape for c in batch_codes] == [(3, 6, 3, 2), (3, 3, 3, 2)]
+    for f in range(3):
+        for code, blk in zip(encode(W[f], None, params), batch_codes, strict=True):
+            assert np.allclose(code, blk[f], atol=1e-12)
+    with pytest.raises(ValueError, match=r"^forward: W must be one frame \(P, 2\)"):
+        forward(W, None, params)
 
 
 def test_forward_batch_matches_single_frames():

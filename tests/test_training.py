@@ -7,7 +7,7 @@ import pytest
 from nrsfm.data import PlantedSpec, normalize_scene, synth_planted
 from nrsfm.model import CameraRankError, ModelParams, forward_batch, loss
 from nrsfm.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, OptimizerState,
-                            TrainConfig, _batch_indices, _epoch_perm,
+                            TrainConfig, _frame_stream,
                             adam_step, gradients, init_params,
                             last_dictionary_atoms, lr_schedule, reconstruct,
                             scene_error, scene_forward, train)
@@ -158,30 +158,38 @@ def test_gradients_empty_batch_rejected():
         gradients(params, W[:0], vis[:0])
 
 
-def _batch_indices_loop(seed, n_frames, step, batch_size, perm_cache):
-    """Frame indices one by one, every epoch's permutation kept."""
-    out = np.empty(batch_size, dtype=int)
+def _batch_indices_loop(seed, n_frames, step, batch_size):
+    """Frame indices of training step `step` one by one: entry i of the
+    step is entry pos of epoch's permutation, drawn from its formula."""
+    out = np.empty(batch_size, dtype=np.intp)
     for i in range(batch_size):
         epoch, pos = divmod(step * batch_size + i, n_frames)
-        if epoch not in perm_cache:
-            perm_cache[epoch] = _epoch_perm(seed, epoch, n_frames)
-        out[i] = perm_cache[epoch][pos]
+        out[i] = np.random.default_rng([seed, 7919, epoch]).permutation(n_frames)[pos]
     return out
 
 
-@pytest.mark.parametrize("n_frames, batch_size", [(10, 4), (12, 4), (7, 7),
-                                                  (5, 12), (3, 8)])
-def test_batch_indices_match_loop_oracle(n_frames, batch_size):
-    # across epoch boundaries, and batches longer than the scene
-    perms, oracle_cache = {}, {}
-    for step in range(40):
-        got = _batch_indices(11, n_frames, step, batch_size, perms)
-        want = _batch_indices_loop(11, n_frames, step, batch_size, oracle_cache)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-        first = step * batch_size // n_frames
-        last = ((step + 1) * batch_size - 1) // n_frames
-        assert sorted(perms) == list(range(first, last + 1))
+@pytest.mark.parametrize("n_frames, batch_size, start_step", [
+    pytest.param(n, b, start, id=f"{n}-{b}" + (f"-from{start}" if start else ""))
+    for n, b in ((10, 4), (12, 4), (7, 7), (5, 12), (3, 8)) for start in (0, 3)])
+def test_batch_indices_match_loop_oracle(n_frames, batch_size, start_step):
+    # across epoch boundaries, batches longer than the scene, and a stream
+    # started at a resumed run's first step
+    frames = _frame_stream(11, n_frames, start_step * batch_size)
+    for step in range(start_step, 40):
+        got = np.fromiter(frames, np.intp, batch_size)
+        assert np.array_equal(got, _batch_indices_loop(11, n_frames, step, batch_size))
+
+
+def test_gradients_mask_none_is_all_visible():
+    """A mask of None is all visible, and one frame is a batch of one."""
+    rng = np.random.default_rng(3)
+    params, W, _ = _random_instance(rng)
+    every = np.ones(W.shape[:2], dtype=bool)
+    assert (gradients(params, W, None).flat.tobytes()
+            == gradients(params, W, every).flat.tobytes())
+    one = gradients(params, W[:1], every[:1]).flat.tobytes()
+    for mask in (None, every[0]):
+        assert gradients(params, W[0], mask).flat.tobytes() == one
 
 
 def test_adam_single_step_closed_form():
@@ -297,6 +305,23 @@ def test_train_resume_bit_exact():
         ref = tail[rec.step]
         assert rec.mean_loss == ref.mean_loss
         assert rec.error3d == ref.error3d
+
+
+def test_train_resume_without_optimizer_state_starts_from_zeros():
+    """init's opt_state None is a fresh Adam state: the same bytes as
+    resuming with explicit zero moments."""
+    scene = _tiny_scene()
+    half = train(scene, _small_config(total_steps=3), verbose=False)
+    cfg = _small_config(total_steps=8)
+    fresh = train(scene, cfg, init=(half.params, None, 3, half.skipped), verbose=False)
+    zeros = train(scene, cfg, init=(half.params, OptimizerState.zeros(half.params), 3,
+                                    half.skipped), verbose=False)
+    for a, b in ((fresh.params.flat, zeros.params.flat),
+                 (fresh.opt_state.moment1, zeros.opt_state.moment1),
+                 (fresh.opt_state.moment2, zeros.opt_state.moment2)):
+        assert a.tobytes() == b.tobytes()
+    assert fresh.opt_state.step == zeros.opt_state.step == 5
+    assert fresh.history == zeros.history and fresh.skipped == zeros.skipped
 
 
 def test_train_resume_rejects_other_structure():
