@@ -187,7 +187,7 @@ def make_missing(scene, max_missing, seed):
     P = scene.point_count
     if not (1 <= max_missing < P):
         raise ValueError(f"max_missing must be in 1..{P - 1}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     out = scene.copy()
     vis = np.ones((scene.frame_count, P), dtype=bool)
     for f in range(scene.frame_count):

@@ -31,13 +31,6 @@ class CameraWeak:
             raise ValueError("camera scale must be positive")
 
 
-def _check_orthonormal(M, tol=1e-6):
-    """Reject rotation parts (..., 3, 2) that are not column-orthonormal."""
-    err = np.max(np.abs(np.swapaxes(M, -1, -2) @ M - np.eye(2)))
-    if err > tol:
-        raise ValueError(f"camera rotation part is not column-orthonormal (error {err:.3g})")
-
-
 def project(S, cam, mode="orthogonal"):
     """Project a P-by-3 shape with a weak-perspective camera.
 
@@ -53,8 +46,10 @@ def project(S, cam, mode="orthogonal"):
 def project_frames(S, M, scale, t, mode="orthogonal"):
     """project over stacks: shapes (..., P, 3) by rotation parts (..., 3, 2),
     scales (...) and translations (..., 2), each frame's product one BLAS
-    call, as for a single frame."""
-    _check_orthonormal(M)
+    call, as for a single frame; M must be column-orthonormal to 1e-6."""
+    err = np.max(np.abs(np.swapaxes(M, -1, -2) @ M - np.eye(2)))
+    if err > 1e-6:
+        raise ValueError(f"camera rotation part is not column-orthonormal (error {err:.3g})")
     scale, t = np.asarray(scale), np.asarray(t)
     if mode == "orthogonal":
         if np.any(scale != 1.0) or np.any(t != 0):
@@ -63,12 +58,6 @@ def project_frames(S, M, scale, t, mode="orthogonal"):
     if mode == "weak_perspective":
         return scale[..., None, None] * (S @ M) + t[..., None, :]
     raise ValueError(f"project: unknown mode {mode!r}")
-
-
-def _rng(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def draw_camera(rng, mode="orthogonal"):
@@ -99,13 +88,13 @@ def quaternion_rotations(q):
 
 def random_rotation(seed):
     """Uniformly random 3x3 rotation matrix via unit-quaternion sampling."""
-    return quaternion_rotations(_rng(seed).standard_normal(4))
+    return quaternion_rotations(np.random.default_rng(seed).standard_normal(4))
 
 
 def random_camera(seed, mode="orthogonal"):
     """Sample a random camera (draw_camera): the first two columns of a
     uniform rotation; weak-perspective mode adds a scale and a translation."""
-    q, scale, t = draw_camera(_rng(seed), mode)
+    q, scale, t = draw_camera(np.random.default_rng(seed), mode)
     return CameraWeak(quaternion_rotations(q)[:, :2], scale=scale, translation=t)
 
 
@@ -234,7 +223,8 @@ def noise_perturb(W, ratio, seed):
         raise ValueError("noise_perturb: ratio must be finite and non-negative")
     if ratio == 0:
         return W.copy()
-    return add_scaled_noise(W[None], _rng(seed).standard_normal((1,) + W.shape), ratio)[0]
+    noise = np.random.default_rng(seed).standard_normal((1,) + W.shape)
+    return add_scaled_noise(W[None], noise, ratio)[0]
 
 
 def add_scaled_noise(W, noise, ratio):

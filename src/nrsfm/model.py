@@ -29,6 +29,8 @@ from .sparse import ACTIVATIONS, threshold
 LOSS_SMOOTHING = 1e-12
 HOMOGENEOUS_EPS = 1e-6
 POLAR_CLAMP = 1e-8
+# ModelParams' parameter groups, in param_items order
+GROUP_NAMES = ("dictionaries", "encoder thresholds", "decoder thresholds", "beta and gamma")
 
 
 class CameraRankError(RuntimeError):
@@ -65,35 +67,31 @@ class ModelParams:
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.block_rows not in (3, 4):
-            raise ValueError("block_rows must be 3 or 4")
+        if type(self.block_rows) is not int or self.block_rows not in (3, 4):
+            raise ValueError(f"block_rows must be the integer 3 or 4, got {self.block_rows!r}")
         if not self.dictionaries or any(np.ndim(D) != 2 for D in self.dictionaries):
             raise ValueError("need at least one dictionary, each a 2-D matrix")
         if self.dictionaries[0].shape[1] % 3 != 0:
             raise ValueError("first dictionary must have 3*K1 columns")
-        widths = self.widths
-        for i, D in enumerate(self.dictionaries[1:], start=1):
-            if D.shape[0] != widths[i - 1]:
-                raise ValueError(f"dictionary {i + 1} rows do not chain: "
-                                 f"{D.shape[0]} != {widths[i - 1]}")
-        for i, b in enumerate(self.enc_thresholds):
-            if b.shape != (widths[i],):
-                raise ValueError(f"encoder threshold {i + 1} has wrong length")
-        for i, b in enumerate(self.dec_thresholds):
-            if b.shape != (widths[i],):
-                raise ValueError(f"decoder threshold {i + 2} has wrong length")
+        # the layout the dictionaries imply, group by group in param_items order
+        K = self.widths
+        want = [[self.dictionaries[0].shape] + list(zip(K, K[1:])), [(k,) for k in K],
+                [(k,) for k in K[:-1]], [(self.block_rows, 2), (K[-1],)]]
+        have = [[np.shape(a) for a in group] for group in self._groups()]
+        if have != want:
+            name, h, w = next(g for g in zip(GROUP_NAMES, have, want) if g[1] != g[2])
+            raise ValueError(f"the {name} of a {len(K)}-layer model have shapes {w}, got {h}")
         if any(np.any(b < 0) for b in self.enc_thresholds + self.dec_thresholds):
             raise ValueError("thresholds must be non-negative")
-        if self.beta.shape != (self.block_rows, 2):
-            raise ValueError("beta must be (block_rows, 2)")
-        if self.gamma.shape != (widths[-1],):
-            raise ValueError("gamma must have length K_N")
         self._bind(np.concatenate([a for _, a in self.param_items()], axis=None, dtype=float))
+
+    def _groups(self):
+        return self.dictionaries, self.enc_thresholds, self.dec_thresholds, (self.beta, self.gamma)
 
     def _bind(self, flat):
         """Take flat as the parameter vector, in param_items order, and
         rebind the fields as views into it."""
-        groups = (self.dictionaries, self.enc_thresholds, self.dec_thresholds, (self.beta, self.gamma))
+        groups = self._groups()
         arrays = [a for group in groups for a in group]
         views = (flat[e - a.size:e] for a, e in zip(arrays, accumulate(a.size for a in arrays)))
         self.dictionaries, self.enc_thresholds, self.dec_thresholds, (self.beta, self.gamma) = (

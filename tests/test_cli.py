@@ -327,9 +327,10 @@ def test_train_resume_past_total_steps_fails_cleanly(tmp_path, capsys):
 def test_bad_checkpoint_manifest_fails_cleanly(tmp_path, capsys):
     """Manifest fields and the body are outside input: a step, skipped count
     or optimizer step that is not a non-negative integer, a config that is
-    not an object, a tensor of the wrong rank and a non-finite value in the
-    body (a parameter or an Adam moment) each end in `error: <path>: ...`
-    with exit 1, and the command leaves no output file."""
+    not an object, a block_rows of 3.0 (an integer is required), a tensor of
+    the wrong rank and a non-finite value in the body (a parameter or an
+    Adam moment) each end in `error: <path>: ...` with exit 1, and the
+    command leaves no output file."""
     scene = _make_scene(tmp_path)
     ck, h = str(tmp_path / "m.ck"), str(tmp_path / "m.csv")
     assert _run(["train", scene, "--checkpoint", ck, "--history", h] + _TRAIN_FLAGS) == 0
@@ -338,7 +339,7 @@ def test_bad_checkpoint_manifest_fails_cleanly(tmp_path, capsys):
     flat_dict1 = [dict(e, shape=[8 * 18]) if e["name"] == "dict1" else e
                   for e in man["tensors"]]
     edits = [("step", "abc"), ("skipped", "a"), ("opt_step", "x"), ("config", [1]),
-             ("tensors", flat_dict1)]
+             ("block_rows", 3.0), ("tensors", flat_dict1)]
     files = [(key, "", json.dumps(dict(man, **{key: value})).encode() + b"\n" + body)
              for key, value in edits]
     # a NaN in the last dictionary and an infinity in Adam's last moment

@@ -502,12 +502,12 @@ def test_checkpoint_errors(tmp_path):
     lines.append(json.dumps(dict(full, tensors=[dict(e, name=7) if e["name"] == "gamma"
                                                 else e for e in entries])).encode())
     # scalars that are not non-negative integers and a config that is not an
-    # object; a block_rows the model rejects; dict1 ([5, 12]) given as [60],
-    # the same byte count at the wrong rank
+    # object; block_rows the model rejects, a string and a float equal to 3;
+    # dict1 ([5, 12]) given as [60], the same byte count at the wrong rank
     lines += [json.dumps(dict(full, **{key: value})).encode()
               for key, value in (("step", "abc"), ("step", -1), ("step", 1.0), ("skipped", "a"),
                                  ("opt_step", "x"), ("opt_step", True), ("config", [1]),
-                                 ("config", "x"), ("block_rows", "3"))]
+                                 ("config", "x"), ("block_rows", "3"), ("block_rows", 3.0))]
     lines.append(json.dumps(dict(full, tensors=[dict(e, shape=[60]) if e["name"] == "dict1"
                                                 else e for e in entries])).encode())
     for i, line in enumerate(lines):

@@ -63,6 +63,28 @@ def test_random_rotation_mean_near_zero():
     assert np.max(np.abs(ms.mean(axis=0))) < 0.02
 
 
+def _camera_draws(cam):
+    return np.concatenate([cam.rotation.ravel(), [cam.scale], cam.translation])
+
+
+@pytest.mark.parametrize("draw", [
+    random_rotation,
+    lambda seed: _camera_draws(random_camera(seed)),
+    lambda seed: _camera_draws(random_camera(seed, "weak_perspective")),
+    lambda seed: noise_perturb(np.arange(8.0).reshape(4, 2), 0.1, seed),
+], ids=["rotation", "camera-orthogonal", "camera-weak", "noise"])
+def test_seeded_draws_advance_a_passed_generator(draw):
+    """A Generator passed as the seed is drawn from as it stands, not
+    reseeded: two calls on one generator give what a fresh generator of the
+    same seed gives over two calls, the first of them what the integer seed
+    gives, and the two differ."""
+    gen, fresh = np.random.default_rng(21), np.random.default_rng(21)
+    first, second = draw(gen), draw(gen)
+    assert np.array_equal(first, draw(fresh)) and np.array_equal(second, draw(fresh))
+    assert np.array_equal(first, draw(21))
+    assert not np.array_equal(first, second)
+
+
 def test_normalize_bbox_basic():
     W = np.array([[0.0, 0.0], [2.0, 0.0]])
     Wn, (c, s) = normalize_bbox(W)

@@ -39,6 +39,23 @@ def test_params_validation():
     with pytest.raises(ValueError, match="2-D"):
         ModelParams([p.dictionaries[0].ravel(), p.dictionaries[1]], p.enc_thresholds,
                     p.dec_thresholds, p.beta, p.gamma)
+    # a 2-layer model (widths 6, 3) with one encoder threshold too few or too
+    # many, no decoder threshold or one too many: each group's count is checked
+    enc, dec = p.enc_thresholds, p.dec_thresholds
+    for bad_enc, bad_dec, group in ((enc[:1], dec, "encoder"),
+                                    (enc + [np.zeros(3)], dec, "encoder"),
+                                    (enc, [], "decoder"), (enc, dec + [np.zeros(3)], "decoder")):
+        with pytest.raises(ValueError, match=f"the {group} thresholds of a 2-layer model"):
+            ModelParams(p.dictionaries, bad_enc, bad_dec, p.beta, p.gamma)
+    # at equal widths, an encoder threshold moved to the decoder keeps the
+    # flat list of shapes; the groups still differ
+    q = _random_params(rng, widths=(4, 4))
+    with pytest.raises(ValueError, match="the encoder thresholds of a 2-layer model"):
+        ModelParams(q.dictionaries, q.enc_thresholds[:1], q.dec_thresholds + [np.zeros(4)],
+                    q.beta, q.gamma)
+    # block_rows must be the integer 3 or 4, not a float that equals one
+    with pytest.raises(ValueError, match="block_rows must be the integer 3 or 4, got 3.0"):
+        ModelParams(p.dictionaries, enc, dec, p.beta, p.gamma, block_rows=3.0)
     # a negative threshold, encoder or decoder: soft would then pass an
     # exactly-zero pre-activation that its stored output reads as blocked
     for group in ("enc_thresholds", "dec_thresholds"):

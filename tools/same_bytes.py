@@ -1,0 +1,114 @@
+"""Check that two checkouts write the same bytes.
+
+    python3 tools/same_bytes.py --base REV_OR_DIR [--change REV_OR_DIR]
+
+Each side is a checkout, as in tools/bench_pairs.py: a directory, or a git
+revision of this repository exported with `git archive`; the change
+defaults to this working tree.  Three pipelines run in each checkout under
+PYTHONPATH=src and OPENBLAS_NUM_THREADS=1, with an `nrsfm` on PATH that
+runs the checkout's own package.  Both sides write into the same output
+directory, since a training history names its scene's path:
+
+- demo05: `demos/05_cli_pipeline.sh DIR`;
+- acceptance: the acceptance config (P=31, F=2000, scene seed 7, widths
+  32->8, batch 64) trained for 3,000 steps, then reconstructed;
+- transl-soft: a weak-perspective scene (noise 0.05, up to 3 missing points
+  per frame, scene seed 8) trained with `--activation soft --translation
+  --batch-size 16` for 2,000 steps, then reconstructed, a step that may
+  fail (its exit code and stderr are compared like its output).
+
+Every file a pipeline writes and every command's exit code, stdout and
+stderr are compared byte for byte.  The tool prints one `same` or `DIFFERS`
+line per item and exits 1 if any item differs; a command other than the
+last reconstruct that fails on either side stops it with exit 2.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+from bench_pairs import ROOT, SIDES, checkout
+
+WIDTHS = ["--width-first", "32", "--width-last", "8"]
+SCENE = ["--points", "31", "--frames", "2000", *WIDTHS]
+RUN = ["--checkpoint", "{out}/model.ckpt", "--history", "{out}/history.csv", "--quiet"]
+RECONSTRUCT = ["nrsfm", "reconstruct", "{out}/scene.txt", "{out}/model.ckpt",
+               "--out", "{out}/rec.txt"]
+# pipeline -> steps of (name, argv with {out} for the output directory,
+# whether the step must succeed)
+PIPELINES = {
+    "demo05": [("demo", ["sh", "demos/05_cli_pipeline.sh", "{out}"], True)],
+    "acceptance": [
+        ("generate", ["nrsfm", "generate", *SCENE, "--seed", "7", "--out", "{out}/scene.txt"],
+         True),
+        ("train", ["nrsfm", "train", "{out}/scene.txt", *RUN, *WIDTHS, "--batch-size", "64",
+                   "--total-steps", "3000"], True),
+        ("reconstruct", RECONSTRUCT, True)],
+    "transl-soft": [
+        ("generate", ["nrsfm", "generate", *SCENE, "--mode", "weak_perspective",
+                      "--noise", "0.05", "--max-missing", "3", "--seed", "8",
+                      "--out", "{out}/scene.txt"], True),
+        ("train", ["nrsfm", "train", "{out}/scene.txt", *RUN, *WIDTHS, "--activation", "soft",
+                   "--translation", "--batch-size", "16", "--total-steps", "2000"], True),
+        ("reconstruct", RECONSTRUCT, False)],
+}
+
+
+def run_side(side, path, tmp):
+    """Run every pipeline in checkout path: {item name: bytes}, the output
+    directory read after each pipeline and then removed."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(path, "src"), OPENBLAS_NUM_THREADS="1",
+               PATH=os.path.join(tmp, "bin") + os.pathsep + os.environ.get("PATH", ""))
+    out, items = os.path.join(tmp, "out"), {}
+    for pipeline, steps in PIPELINES.items():
+        os.makedirs(out)
+        for step, argv, must_succeed in steps:
+            print(f"{side}: {pipeline} {step}", file=sys.stderr, flush=True)
+            proc = subprocess.run([a.format(out=out) for a in argv], cwd=path, env=env,
+                                  capture_output=True)
+            if must_succeed and proc.returncode:
+                sys.stderr.buffer.write(proc.stderr[-2000:])
+                print(f"error: {side}: {pipeline} {step} exited {proc.returncode}",
+                      file=sys.stderr)
+                sys.exit(2)
+            name = f"{pipeline}/{step}"
+            items.update({f"{name} exit code": str(proc.returncode).encode(),
+                          f"{name} stdout": proc.stdout, f"{name} stderr": proc.stderr})
+        for file in sorted(os.listdir(out)):
+            with open(os.path.join(out, file), "rb") as fh:
+                items[f"{pipeline}/{file}"] = fh.read()
+        shutil.rmtree(out)
+    return items
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="checkout directory or git revision")
+    parser.add_argument("--change", default=ROOT,
+                        help="checkout directory or git revision (default: this working tree)")
+    args = parser.parse_args()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        shim = os.path.join(tmp, "bin", "nrsfm")    # runs the package PYTHONPATH finds
+        os.makedirs(os.path.dirname(shim))
+        with open(shim, "w") as fh:
+            fh.write(f'#!/bin/sh\nexec "{sys.executable}" -m nrsfm.cli "$@"\n')
+        os.chmod(shim, 0o755)
+        items = {side: run_side(side, checkout(getattr(args, side), tmp, side)[0], tmp)
+                 for side in SIDES}
+    differ = 0
+    for name in sorted(items["base"].keys() | items["change"].keys()):
+        have = [items[side].get(name) for side in SIDES]
+        same = None not in have and have[0] == have[1]
+        missing = [side for side, v in zip(SIDES, have) if v is None]
+        print(f"{'same' if same else 'DIFFERS':8}{name}"
+              + (f" (missing on {missing[0]})" if missing else ""))
+        differ += not same
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
