@@ -21,7 +21,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, asdict, field, fields, replace
-from itertools import zip_longest
+from itertools import islice, zip_longest
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from .training import OptimizerState
 
 SCENE_MAGIC = "# nrsfm-scene v1"
 CHECKPOINT_MAGIC = "nrsfm-checkpoint v1"
+SCENE_BLOCK_ROWS = 4096    # records save_scene formats per write
+_PRINTABLE = re.compile(rb"[!-~]")    # printable ASCII, never whitespace
 
 # Scene-file sections in file order: name -> (header row, number of key
 # columns).  Records are keyed by frame, or by frame and point, and each
@@ -239,19 +241,27 @@ def save_scene(scene, path):
         fh.write(f"{SCENE_MAGIC}\n# mode={scene.mode}\n# frames={F} points={P}\n")
         for name, values in sections.items():
             header, n_keys = SCENE_SECTIONS[name]
-            columns = [*np.indices((F, P)[:n_keys]).reshape(n_keys, -1), *values.T]
             row = ",".join(["%d"] * n_keys + ["%.17g"] * values.shape[1]) + "\n"
             fh.write(f"[{name}]\n{header}\n")
-            fh.writelines(map(row.__mod__, zip(*(c.tolist() for c in columns))))
+            for i in range(0, len(values), SCENE_BLOCK_ROWS):
+                rows = np.arange(i, min(i + SCENE_BLOCK_ROWS, len(values)))
+                block = np.column_stack([*np.unravel_index(rows, (F, P)[:n_keys]), values[rows]])
+                fh.write(row * len(rows) % tuple(block.ravel().tolist()))
 
 
-def load_scene(path):
+def _scene_layout(path):
+    """Scan a scene file's bytes once, with text mode's newlines: its '#' header fields and,
+    per section, (line number, header row, whether it has no record, lines after the row)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path) as fh:
-            preamble, *split = re.split(r"\n\[(.*)\]\n", fh.read())
+        if not data.isascii():
+            data.decode()
     except UnicodeDecodeError as exc:
         raise SceneFormatError(f"{path}: not a text scene file ({exc})") from None
-    lines = preamble.split("\n")
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
+    matches = list(re.finditer(rb"\n\[(.*)\]\n", data))
+    lines = data[:matches[0].start() if matches else len(data)].decode().split("\n")
     if lines[0] != SCENE_MAGIC:
         raise SceneFormatError(f"{path}: not a scene file (missing magic header)")
     header = {}
@@ -259,19 +269,25 @@ def load_scene(path):
         if line.strip() and not line.startswith("#"):
             raise SceneFormatError(f"{path}:{i}: data outside any section")
         header.update(tok.split("=", 1) for tok in line[1:].split() if "=" in tok)
-    sections = {}
-    line_no = len(lines) + 1   # of the first [section] line
-    for name, body in zip(split[::2], split[1::2]):
+    sections, line_no = {}, len(lines) + 1   # the line number of the first [section] line
+    for m, end in zip(matches, [m.start() for m in matches[1:]] + [len(data)]):
+        name = m[1].decode()
         if name not in SCENE_SECTIONS:
             raise SceneFormatError(f"{path}:{line_no}: unknown section [{name}]")
         if name in sections:
             raise SceneFormatError(f"{path}:{line_no}: repeated section [{name}]")
-        sections[name] = (line_no, body)
-        line_no += body.count("\n") + 2
+        row_end = data.find(b"\n", m.end(), end) % (end + 1)    # end if no newline
+        n_lines = data.count(b"\n", m.end(), end)
+        empty = not (_PRINTABLE.search(data, row_end, end) or data[row_end:end].decode().strip())
+        sections[name] = (line_no, data[m.end():row_end].decode(), empty, n_lines)
+        line_no += n_lines + 2
+    return header, sections
 
+
+def load_scene(path):
+    header, sections = _scene_layout(path)
     try:
-        F = int(header["frames"])
-        P = int(header["points"])
+        F, P = int(header["frames"]), int(header["points"])
     except KeyError as exc:
         raise SceneFormatError(f"{path}: missing header field {exc}") from None
     except ValueError as exc:
@@ -281,22 +297,28 @@ def load_scene(path):
     mode = header.get("mode", "orthogonal")
     if mode not in CAMERA_MODES:
         raise SceneFormatError(f"{path}: unknown mode {mode!r}")
+    consumed = 0    # lines of fh read so far
 
     def section_array(name):
         """The value columns of the section's records sorted by their
         (frame[, point]) key; each key must be an in-range integer and
         appear exactly once."""
+        nonlocal consumed
         header_row, n_keys = SCENE_SECTIONS[name]
         grid = (F, P)[:n_keys]
-        line_no, body = sections[name]
-        row, *records = body.split("\n")
+        line_no, row, empty, n_lines = sections[name]
         if row != header_row:
             raise SceneFormatError(f"{path}:{line_no + 1}: section [{name}] has header row "
                                    f"{row!r}, expected {header_row!r}")
-        if not any(map(str.strip, records)):
+        if empty:
             raise SceneFormatError(f"{path}: empty section [{name}]")
+        if consumed > line_no + 1:   # a section before the last one read
+            fh.seek(0)
+            consumed = 0
+        skip, consumed = line_no + 1 - consumed, line_no + 1 + n_lines
         try:
-            arr = np.loadtxt(records, delimiter=",", comments=None, ndmin=2)
+            arr = np.loadtxt(islice(fh, skip, skip + n_lines), delimiter=",", comments=None,
+                             ndmin=2)
         except ValueError as exc:
             raise SceneFormatError(f"{path}: [{name}] starting at line "
                                    f"{line_no + 2}: bad record ({exc})") from None
@@ -318,27 +340,25 @@ def load_scene(path):
 
     if "measurements" not in sections:
         raise SceneFormatError(f"{path}: missing [measurements] section")
-    m = section_array("measurements")
-    W = m[:, :2].reshape(F, P, 2)
-    flags = m[:, 2].reshape(F, P)
-    if not np.all((flags == 0) | (flags == 1)):
-        raise SceneFormatError(f"{path}: [measurements] visible must be 0 or 1")
-    vis = flags.astype(bool)
-    if not np.all(np.isfinite(W[vis])):
-        raise SceneFormatError(f"{path}: [measurements] has a non-finite visible point")
-    scene = Scene(W, vis, mode)
-    if "shapes" in sections:
-        scene.gt_shapes = section_array("shapes").reshape(F, P, 3)
-    if "cameras" in sections:
-        c = section_array("cameras")
-        scene.gt_rotations = np.ascontiguousarray(c[:, :6].reshape(F, 2, 3).transpose(0, 2, 1))
-        scene.gt_scales = c[:, 6].copy()
-        scene.gt_translations = c[:, 7:9].copy()
-    if "normalization" in sections:
-        n = section_array("normalization")
-        scene.norm_centroids = n[:, :2].copy()
-        scene.norm_scales = n[:, 2].copy()
-    return scene
+    with open(path, encoding="utf-8") as fh:
+        m = section_array("measurements")
+        W, flags = m[:, :2].reshape(F, P, 2), m[:, 2].reshape(F, P)
+        if not np.all((flags == 0) | (flags == 1)):
+            raise SceneFormatError(f"{path}: [measurements] visible must be 0 or 1")
+        vis = flags.astype(bool)
+        if not np.all(np.isfinite(W[vis])):
+            raise SceneFormatError(f"{path}: [measurements] has a non-finite visible point")
+        scene = Scene(W, vis, mode)
+        if "shapes" in sections:
+            scene.gt_shapes = section_array("shapes").reshape(F, P, 3)
+        if "cameras" in sections:
+            c = section_array("cameras")
+            scene.gt_rotations = np.ascontiguousarray(c[:, :6].reshape(F, 2, 3).transpose(0, 2, 1))
+            scene.gt_scales, scene.gt_translations = c[:, 6].copy(), c[:, 7:9].copy()
+        if "normalization" in sections:
+            n = section_array("normalization")
+            scene.norm_centroids, scene.norm_scales = n[:, :2].copy(), n[:, 2].copy()
+        return scene
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
     python3 tools/bench_pairs.py --base REV_OR_DIR --change REV_OR_DIR --out BENCH_<pr>.json
 
-Each side is a checkout: a directory, or a git revision of this repository
-that is exported with `git archive` into a temporary directory.  For each of
-the seeds 11-20 and every workload in BENCHMARK.json, `perfbench/run.py
---trace 0` runs once in each checkout for BENCHMARK.json's `run_seconds`,
-one after the other; which side goes first alternates from seed to seed, so
-that a drift of the shared machine's speed falls on both sides alike.  The
+Each side is a checkout run from a fresh temporary directory: a directory
+copied without `__pycache__`, `.git`, `perfbench/.results` and
+`perfbench/.work`, or a git revision of this repository exported with `git
+archive`.  For each of the seeds 11-20 and every workload in
+BENCHMARK.json, `perfbench/run.py --trace 0` runs once in each checkout for
+BENCHMARK.json's `run_seconds`, one after the other; which side goes first
+alternates from seed to seed, so that a drift of the shared machine's speed
+falls on both sides alike.  The
 output holds every run's end-to-end metrics and correctness, each side's
 median and quartiles, the number of pairs the change wins, the seeds, and
 the environment that perfbench reports (BLAS threads, nproc, numpy); each
@@ -20,6 +22,7 @@ are listed, with the pairs the change wins once those seeds are left out.
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -32,16 +35,25 @@ SIDES = ("base", "change")
 # wall times that pass_ref and setup_s normalise.
 EXTRA = ("error3d", "ops_failed_frac", "pass_s", "setup_wall_s")
 SEEDS = list(range(11, 21))
+# left out when a directory side is copied: bytecode, history, benchmark output
+SKIP = {"__pycache__", ".git", os.path.join("perfbench", ".results"),
+        os.path.join("perfbench", ".work")}
 
 
 def checkout(spec, tmp, label):
-    """(directory to run in, id of its src/ tree or None): spec itself, or
-    git revision spec exported with git archive."""
+    """(directory to run in, id of its src/ tree or None): tmp/label holding
+    directory spec copied without SKIP, or git revision spec exported with
+    git archive."""
+    path = os.path.join(tmp, label)
     if os.path.isdir(spec):
-        return os.path.abspath(spec), None
+        def skip(directory, names):
+            rel = os.path.relpath(directory, spec)
+            return {n for n in names
+                    if n in SKIP or os.path.normpath(os.path.join(rel, n)) in SKIP}
+        shutil.copytree(spec, path, ignore=skip)
+        return path, None
     tree = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", spec + ":src"],
                           capture_output=True, text=True, check=True).stdout.strip()
-    path = os.path.join(tmp, label)
     os.makedirs(path)
     archive = subprocess.run(["git", "-C", ROOT, "archive", spec], capture_output=True,
                              check=True).stdout

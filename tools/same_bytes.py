@@ -2,12 +2,14 @@
 
     python3 tools/same_bytes.py --base REV_OR_DIR [--change REV_OR_DIR]
 
-Each side is a checkout, as in tools/bench_pairs.py: a directory, or a git
-revision of this repository exported with `git archive`; the change
-defaults to this working tree.  Three pipelines run in each checkout under
-PYTHONPATH=src and OPENBLAS_NUM_THREADS=1, with an `nrsfm` on PATH that
-runs the checkout's own package.  Both sides write into the same output
-directory, since a training history names its scene's path:
+Each side is a checkout, as in tools/bench_pairs.py, run from a fresh
+temporary directory: a directory copied without `__pycache__`, `.git` and
+the benchmark's output, or a git revision of this repository exported with
+`git archive`; the change defaults to this working tree.  Three pipelines
+run in each checkout under PYTHONPATH=src and OPENBLAS_NUM_THREADS=1, with
+an `nrsfm` on PATH that runs the checkout's own package.  Both sides write
+into the same output directory, since a training history names its scene's
+path:
 
 - demo05: `demos/05_cli_pipeline.sh DIR`;
 - acceptance: the acceptance config (P=31, F=2000, scene seed 7, widths
