@@ -15,7 +15,7 @@ from .model import (
 )
 from .data import (
     Scene, PlantedSpec, synth_planted, make_missing, save_scene, load_scene,
-    save_checkpoint, load_checkpoint, normalize_scene,
+    save_checkpoint, load_checkpoint, normalize_scene, read_scene_sections,
 )
 from .training import (
     TrainConfig, TrainHistory, init_params, gradients, adam_step,

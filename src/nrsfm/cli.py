@@ -15,7 +15,7 @@ from dataclasses import astuple, fields, replace
 import numpy as np
 
 from .data import (PlantedSpec, load_checkpoint, load_scene, normalize_scene,
-                   save_checkpoint, save_scene, synth_planted)
+                   read_scene_sections, save_checkpoint, save_scene, synth_planted)
 from .geometry import frame_3d_errors, mutual_coherence
 from .model import CameraRankError
 from .training import (HistoryRecord, TrainConfig, last_dictionary_atoms,
@@ -129,7 +129,8 @@ def cmd_train(args, artifacts):
 
 
 def cmd_reconstruct(args, artifacts):
-    scene = load_scene(args.scene)
+    # [normalization] de-normalizes a `--normalize none` model; [shapes] and [cameras] are replaced
+    scene = load_scene(args.scene, ("normalization",))
     params, config, _, _, _ = load_checkpoint(args.checkpoint)
     if params.point_count != scene.point_count:
         raise ValueError(
@@ -159,16 +160,15 @@ def cmd_evaluate(args, artifacts):
     if not (args.estimates and args.truth):
         raise ValueError("evaluate needs an estimates file and a truth file "
                          "(or --coherence alone)")
-    est = load_scene(args.estimates)
-    gt = load_scene(args.truth)
-    if est.gt_shapes is None or gt.gt_shapes is None:
+    # only [shapes] is parsed: the other sections' records are not used
+    _, (F, P), est = read_scene_sections(args.estimates, ("shapes",))
+    mode, (G, Q), gt = read_scene_sections(args.truth, ("shapes",))
+    if "shapes" not in est or "shapes" not in gt:
         raise ValueError("both files must carry a [shapes] section")
-    if est.gt_shapes.shape != gt.gt_shapes.shape:
-        raise ValueError(
-            f"shape mismatch: estimates {est.gt_shapes.shape} "
-            f"vs truth {gt.gt_shapes.shape}")
-    errs = frame_3d_errors(est.gt_shapes, gt.gt_shapes,
-                           allow_scale=gt.mode == "weak_perspective")
+    if (F, P) != (G, Q):
+        raise ValueError(f"shape mismatch: estimates {(F, P, 3)} vs truth {(G, Q, 3)}")
+    errs = frame_3d_errors(est["shapes"].reshape(F, P, 3), gt["shapes"].reshape(F, P, 3),
+                           allow_scale=mode == "weak_perspective")
     print(f"error {np.mean(errs):.6f}")
     if args.cumulative:
         errs = np.sort(errs)

@@ -3,12 +3,12 @@
 On-disk contracts
 -----------------
 Scene files are a single self-describing text container: the magic line
-and '#' header lines (key=value), then the record sections of
-SCENE_SECTIONS, each a '[name]' line alone on its line, its header row on
-the next line, then its records.  '#' lines may appear only before the
-first section.  [measurements] is required; [shapes] (ground truth),
-[cameras] and [normalization] are optional.  Floats carry 17 significant
-digits so round trips are bit-exact.
+and '#' header lines (key=value), then the SCENE_SECTIONS, each a '[name]'
+line, its header row, then its records ('#' lines only before the first).
+[measurements] is required; [shapes] (ground truth), [cameras] and
+[normalization] are optional.  Keys and the visible flag are integers, other
+values carry 17 significant digits, so round trips are bit-exact.  Reading
+checks every section's structure, and the records of the sections it reads.
 
 Checkpoints are a binary container: the magic line, a UTF-8 JSON
 manifest line (version, config, step, tensor names/shapes), then a body of
@@ -224,28 +224,32 @@ def normalize_scene(scene, mode="bbox"):
 # scene IO
 
 def save_scene(scene, path):
+    """Write a scene file: [measurements], then each other section the scene has data for.
+    Keys and the visible flag print with %d from integers, other values with %.17g."""
     F, P = scene.frame_count, scene.point_count
-    # each section's value columns, one row per record in key order
-    sections = {"measurements": np.column_stack([scene.measurements.reshape(F * P, 2),
-                                                 scene.visibility.reshape(F * P)])}
+    # each section's value columns in key order: float64 tables, the visible flag as integers
+    sections = {"measurements": [scene.measurements.reshape(F * P, 2),
+                                 scene.visibility.reshape(F * P, 1).astype(np.uint8)]}
     if scene.gt_shapes is not None:
-        sections["shapes"] = scene.gt_shapes.reshape(F * P, 3)
+        sections["shapes"] = [scene.gt_shapes.reshape(F * P, 3)]
     if scene.gt_rotations is not None:
         scales = scene.gt_scales if scene.gt_scales is not None else np.ones(F)
         trans = scene.gt_translations if scene.gt_translations is not None else np.zeros((F, 2))
-        sections["cameras"] = np.column_stack(
-            [scene.gt_rotations.transpose(0, 2, 1).reshape(F, 6), scales, trans])
+        sections["cameras"] = [np.column_stack(
+            [scene.gt_rotations.transpose(0, 2, 1).reshape(F, 6), scales, trans])]
     if scene.norm_centroids is not None:
-        sections["normalization"] = np.column_stack([scene.norm_centroids, scene.norm_scales])
+        sections["normalization"] = [np.column_stack([scene.norm_centroids, scene.norm_scales])]
     with open(path, "w") as fh:
         fh.write(f"{SCENE_MAGIC}\n# mode={scene.mode}\n# frames={F} points={P}\n")
-        for name, values in sections.items():
+        for name, tables in sections.items():
             header, n_keys = SCENE_SECTIONS[name]
-            row = ",".join(["%d"] * n_keys + ["%.17g"] * values.shape[1]) + "\n"
+            row = ",".join(["%d"] * n_keys + ["%.17g" if t.dtype == float else "%d"
+                                              for t in tables for _ in range(t.shape[1])]) + "\n"
             fh.write(f"[{name}]\n{header}\n")
-            for i in range(0, len(values), SCENE_BLOCK_ROWS):
-                rows = np.arange(i, min(i + SCENE_BLOCK_ROWS, len(values)))
-                block = np.column_stack([*np.unravel_index(rows, (F, P)[:n_keys]), values[rows]])
+            for i in range(0, len(tables[0]), SCENE_BLOCK_ROWS):
+                rows = np.arange(i, min(i + SCENE_BLOCK_ROWS, len(tables[0])))
+                keys = np.transpose(np.unravel_index(rows, (F, P)[:n_keys]))
+                block = np.concatenate([keys, *(t[rows] for t in tables)], axis=1, dtype=object)
                 fh.write(row * len(rows) % tuple(block.ravel().tolist()))
 
 
@@ -284,7 +288,10 @@ def _scene_layout(path):
     return header, sections
 
 
-def load_scene(path):
+def read_scene_sections(path, names):
+    """(mode, (F, P), {name: value columns}) of a scene file: for each section in names that
+    the file holds, its records' non-key columns as float64 rows sorted by (frame[, point])
+    key.  Every section's structure is checked; records only of the sections in names."""
     header, sections = _scene_layout(path)
     try:
         F, P = int(header["frames"]), int(header["points"])
@@ -312,6 +319,8 @@ def load_scene(path):
                                    f"{row!r}, expected {header_row!r}")
         if empty:
             raise SceneFormatError(f"{path}: empty section [{name}]")
+        if name not in names:
+            return None
         if consumed > line_no + 1:   # a section before the last one read
             fh.seek(0)
             consumed = 0
@@ -336,29 +345,36 @@ def load_scene(path):
         order[np.ravel_multi_index(keys.astype(np.int64).T, grid)] = np.arange(expected_rows)
         if np.any(order < 0):
             raise SceneFormatError(f"{path}: section [{name}] repeats a record")
-        return arr[order, n_keys:]
+        values = arr[order, n_keys:]
+        if name == "measurements" and not np.all((values[:, 2] == 0) | (values[:, 2] == 1)):
+            raise SceneFormatError(f"{path}: [measurements] visible must be 0 or 1")
+        if name == "measurements" and not np.isfinite(values[values[:, 2] == 1, :2]).all():
+            raise SceneFormatError(f"{path}: [measurements] has a non-finite visible point")
+        return values
 
     if "measurements" not in sections:
         raise SceneFormatError(f"{path}: missing [measurements] section")
     with open(path, encoding="utf-8") as fh:
-        m = section_array("measurements")
-        W, flags = m[:, :2].reshape(F, P, 2), m[:, 2].reshape(F, P)
-        if not np.all((flags == 0) | (flags == 1)):
-            raise SceneFormatError(f"{path}: [measurements] visible must be 0 or 1")
-        vis = flags.astype(bool)
-        if not np.all(np.isfinite(W[vis])):
-            raise SceneFormatError(f"{path}: [measurements] has a non-finite visible point")
-        scene = Scene(W, vis, mode)
-        if "shapes" in sections:
-            scene.gt_shapes = section_array("shapes").reshape(F, P, 3)
-        if "cameras" in sections:
-            c = section_array("cameras")
-            scene.gt_rotations = np.ascontiguousarray(c[:, :6].reshape(F, 2, 3).transpose(0, 2, 1))
-            scene.gt_scales, scene.gt_translations = c[:, 6].copy(), c[:, 7:9].copy()
-        if "normalization" in sections:
-            n = section_array("normalization")
-            scene.norm_centroids, scene.norm_scales = n[:, :2].copy(), n[:, 2].copy()
-        return scene
+        arrays = {name: section_array(name) for name in SCENE_SECTIONS if name in sections}
+    return mode, (F, P), {name: a for name, a in arrays.items() if a is not None}
+
+
+def load_scene(path, sections=SCENE_SECTIONS):
+    """The Scene of a scene file, from [measurements] and those of its other sections that
+    are in sections (all by default); see read_scene_sections for what is checked."""
+    mode, (F, P), arrays = read_scene_sections(path, {"measurements", *sections})
+    m = arrays["measurements"]
+    scene = Scene(m[:, :2].reshape(F, P, 2), m[:, 2].reshape(F, P).astype(bool), mode)
+    if "shapes" in arrays:
+        scene.gt_shapes = arrays["shapes"].reshape(F, P, 3)
+    if "cameras" in arrays:
+        c = arrays["cameras"]
+        scene.gt_rotations = np.ascontiguousarray(c[:, :6].reshape(F, 2, 3).transpose(0, 2, 1))
+        scene.gt_scales, scene.gt_translations = c[:, 6].copy(), c[:, 7:9].copy()
+    if "normalization" in arrays:
+        n = arrays["normalization"]
+        scene.norm_centroids, scene.norm_scales = n[:, :2].copy(), n[:, 2].copy()
+    return scene
 
 
 # ---------------------------------------------------------------------------

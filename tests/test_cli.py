@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 
 import nrsfm
 from nrsfm.cli import build_parser, main
-from nrsfm.data import PlantedSpec, load_checkpoint, load_scene
+from nrsfm.data import (PlantedSpec, SceneFormatError, load_checkpoint, load_scene,
+                        normalize_scene, save_scene)
 from nrsfm.geometry import normalized_3d_error
 from nrsfm.training import HistoryRecord, TrainConfig
 
@@ -362,3 +364,146 @@ def test_bad_checkpoint_manifest_fails_cleanly(tmp_path, capsys):
             assert _run(argv) == 1, (key, argv[0])
             assert capsys.readouterr().err.startswith(f"error: {bad}: {message}"), (key, argv[0])
             assert not any(os.path.exists(p) for p in outputs), (key, argv[0])
+
+
+@pytest.mark.parametrize("generate, digests", [
+    pytest.param(["--seed", "5"], {
+        "rec.txt": "9b6dba605d238dff5937d5b5ff34dae615f1182d8ab6a9ce28f71b4cc6ce011b",
+        "cum.csv": "1d38d935570c907770d04cf07a383de00b1c0dcd1e70841987fbc0de1308f6e3",
+        "stdout": "4fdac801372a30bc4e211c340bf1676665d335888cde1bb8aee9993cf210819b"},
+        id="orthogonal"),
+    pytest.param(["--mode", "weak_perspective", "--max-missing", "2", "--seed", "6"], {
+        "rec.txt": "7be654315132f8b4a16b7003d893f351d4b94a1fe7b6ae908794cd067453d9b7",
+        "cum.csv": "8372065d8787860ffdd683bd94b2c03fea366c2e98df785609dceafba1b5306a",
+        "stdout": "086f61ba5c06444ba586a4079aa47d86cb0f5df20dc96b03af39fea3813126c5"},
+        id="weak-perspective-missing"),
+])
+def test_reconstruct_and_evaluate_bytes_are_pinned(tmp_path, capsys, monkeypatch, generate,
+                                                   digests):
+    """`reconstruct` and `evaluate --cumulative --coherence` keep the bytes
+    they wrote when every command still parsed every section of its scenes:
+    rec.txt, the cumulative CSV and the two commands' stdout, which names
+    only relative paths."""
+    monkeypatch.chdir(tmp_path)
+    assert _run(["generate", "--points", "8", "--frames", "16", "--width-first", "6",
+                 "--width-last", "3", "--sparsity", "1", "--out", "scene.txt"] + generate) == 0
+    assert _run(["train", "scene.txt", "--checkpoint", "model.ckpt", "--history", "h.csv",
+                 "--width-first", "6", "--width-last", "3", "--activation", "soft",
+                 "--batch-size", "8", "--total-steps", "40", "--eval-interval", "20",
+                 "--seed", "2", "--quiet"]) == 0
+    capsys.readouterr()
+    assert _run(["reconstruct", "scene.txt", "model.ckpt", "--out", "rec.txt"]) == 0
+    assert _run(["evaluate", "rec.txt", "scene.txt", "--cumulative", "cum.csv",
+                 "--coherence", "model.ckpt"]) == 0
+    outputs = {"rec.txt": open("rec.txt", "rb").read(), "cum.csv": open("cum.csv", "rb").read(),
+               "stdout": capsys.readouterr().out.encode()}
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == digests
+
+
+def test_reconstruct_denormalizes_through_the_scene_file(tmp_path, capsys, monkeypatch):
+    """A scene file that carries [normalization], reconstructed with a
+    checkpoint trained with --normalize none, is mapped back through the
+    file's records: the output keeps the bytes it had when `reconstruct`
+    parsed every section."""
+    monkeypatch.chdir(tmp_path)
+    assert _run(["generate", "--points", "8", "--frames", "16", "--width-first", "6",
+                 "--width-last", "3", "--sparsity", "1", "--mode", "weak_perspective",
+                 "--max-missing", "2", "--seed", "7", "--out", "raw.txt"]) == 0
+    save_scene(normalize_scene(load_scene("raw.txt"), "bbox"), "scene.txt")
+    assert _run(["train", "scene.txt", "--checkpoint", "model.ckpt", "--history", "h.csv",
+                 "--width-first", "6", "--width-last", "3", "--activation", "soft",
+                 "--batch-size", "8", "--total-steps", "40", "--eval-interval", "20",
+                 "--normalize", "none", "--seed", "2", "--quiet"]) == 0
+    assert _run(["reconstruct", "scene.txt", "model.ckpt", "--out", "rec.txt"]) == 0
+    assert hashlib.sha256(open("rec.txt", "rb").read()).hexdigest() == (
+        "e2e081b0771d811fcce7a7293052f2f0f187602fb22c2a1ddbea2389bd4c4243")
+
+
+def _edit_record(src, dst, section, row, field, value):
+    """Copy scene file src to dst with one field of one record of section replaced."""
+    lines = open(src).read().splitlines()
+    i = lines.index(f"[{section}]") + 2 + row
+    parts = lines[i].split(",")
+    parts[field] = value
+    lines[i] = ",".join(parts)
+    with open(dst, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_evaluate_parses_only_shapes(tmp_path, capsys, monkeypatch):
+    """`evaluate` reads the records of [shapes] alone: a corrupt [measurements]
+    or [cameras] record in either input changes neither its output nor its
+    CSV, while a [shapes] section that is missing or holds a NaN still ends
+    in the same error."""
+    monkeypatch.chdir(tmp_path)
+    for name, seed in (("est.txt", "4"), ("truth.txt", "5")):
+        assert _run(["generate", "--points", "6", "--frames", "5", "--width-first", "4",
+                     "--width-last", "2", "--mode", "weak_perspective", "--max-missing", "2",
+                     "--seed", seed, "--out", name]) == 0
+    capsys.readouterr()
+
+    def evaluate(est, truth):
+        code = _run(["evaluate", est, truth, "--cumulative", "cum.csv"])
+        out, err = capsys.readouterr()
+        return code, out, err, open("cum.csv", "rb").read() if code == 0 else None
+
+    clean = evaluate("est.txt", "truth.txt")
+    assert clean[0] == 0 and clean[1].startswith("error ")
+    for section, field, value in (("measurements", 2, "x"), ("measurements", 4, "2"),
+                                  ("cameras", 3, "nan"), ("cameras", 0, "9")):
+        for which in ("est.txt", "truth.txt"):
+            _edit_record(which, "bad.txt", section, 1, field, value)
+            with pytest.raises(SceneFormatError):
+                load_scene("bad.txt")
+            files = ["bad.txt" if f == which else f for f in ("est.txt", "truth.txt")]
+            assert evaluate(*files) == (0, clean[1], "", clean[3]), (section, which)
+
+    lines = open("truth.txt").read().splitlines()
+    start, stop = lines.index("[shapes]"), lines.index("[cameras]")
+    with open("noshapes.txt", "w") as fh:
+        fh.write("\n".join(lines[:start] + lines[stop:]) + "\n")
+    _edit_record("truth.txt", "nan.txt", "shapes", 3, 3, "nan")
+    for truth, message in (("noshapes.txt", "both files must carry a [shapes] section"),
+                           ("nan.txt", "nan.txt: section [shapes] has a non-finite value")):
+        for files in (("est.txt", truth), (truth, "est.txt")):
+            code, out, err, _ = evaluate(*files)
+            assert (code, out, err) == (1, "", f"error: {message}\n"), files
+
+
+@pytest.mark.parametrize("defect", ["unknown-section", "header-row", "empty-section"])
+def test_structural_defect_in_any_section_fails_every_command(tmp_path, capsys, monkeypatch,
+                                                               defect):
+    """Every section's structure is checked whichever sections a command
+    parses: an unknown section, a wrong header row or a section without
+    records, in any of the four sections, ends `train`, `reconstruct` and
+    `evaluate` (either input) with exit 1, the reader's message and no
+    output file."""
+    monkeypatch.chdir(tmp_path)
+    assert _run(["generate", "--points", "6", "--frames", "5", "--width-first", "4",
+                 "--width-last", "2", "--mode", "weak_perspective", "--max-missing", "2",
+                 "--seed", "4", "--out", "raw.txt"]) == 0
+    save_scene(normalize_scene(load_scene("raw.txt"), "bbox"), "good.txt")
+    lines = open("good.txt").read().splitlines()
+    for section in ("measurements", "shapes", "cameras", "normalization"):
+        bad = list(lines)
+        i = bad.index(f"[{section}]")
+        if defect == "unknown-section":
+            bad[i] = "[extra]"
+            message = f"bad.txt:{i + 1}: unknown section [extra]"
+        elif defect == "header-row":
+            bad[i + 1] = bad[i + 1].upper()
+            message = f"bad.txt:{i + 2}: section [{section}] has header row"
+        else:
+            end = next((j for j in range(i + 1, len(bad)) if bad[j].startswith("[")), len(bad))
+            del bad[i + 2:end]
+            message = f"bad.txt: empty section [{section}]"
+        with open("bad.txt", "w") as fh:
+            fh.write("\n".join(bad) + "\n")
+        for argv in (["train", "bad.txt", "--checkpoint", "out.ckpt", "--history", "out.csv"],
+                     ["reconstruct", "bad.txt", "missing.ckpt", "--out", "out.txt"],
+                     ["evaluate", "bad.txt", "good.txt", "--cumulative", "out.csv"],
+                     ["evaluate", "good.txt", "bad.txt", "--cumulative", "out.csv"]):
+            capsys.readouterr()
+            assert _run(argv) == 1, (section, argv)
+            assert capsys.readouterr().err.startswith(f"error: {message}"), (section, argv)
+            assert not any(os.path.exists(p) for p in ("out.ckpt", "out.csv", "out.txt"))

@@ -10,10 +10,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import nrsfm.data
 from nrsfm.data import (CheckpointError, PlantedSpec, Scene, SceneFormatError,
                         load_checkpoint, load_scene, make_missing,
-                        normalize_scene, save_checkpoint, save_scene,
-                        synth_planted)
+                        normalize_scene, read_scene_sections, save_checkpoint,
+                        save_scene, synth_planted)
 from nrsfm.geometry import draw_camera, quaternion_rotations, random_camera
 from nrsfm.model import decode, random_params
 from nrsfm.training import OptimizerState, TrainConfig, init_params, train
@@ -389,24 +390,38 @@ def test_sample_scene_loads_with_crlf_and_a_non_ascii_comment(tmp_path):
             assert np.array_equal(have, want) if isinstance(want, np.ndarray) else have == want
 
 
-@pytest.mark.parametrize("io,bound_mib", [("load", 2.05), ("save", 1.75)])
-def test_scene_io_peak_memory(tmp_path, io, bound_mib):
+@pytest.mark.parametrize("io,bound_mib", [("load", 2.05), ("save", 1.75), ("shapes", 1.32)])
+def test_scene_io_peak_memory(tmp_path, monkeypatch, io, bound_mib):
     """The reader holds one copy of the file's bytes while it finds the
-    sections, then streams each section's records into loadtxt; the writer
-    formats a block of records at a time.  For a normalized weak-perspective
-    scene of P=31 points and F=500 frames with missing points (all four
-    sections, a 1.85 MiB file) the traced peaks are 1.86 MiB (load) and
-    1.60 MiB (save); reading the whole text and splitting it into lines
-    peaked at 5.26 MiB, and formatting from per-column Python lists at
-    2.55 MiB."""
+    sections, then streams the records of each section it reads into
+    loadtxt; the writer formats a block of records at a time.  For a
+    normalized weak-perspective scene of P=31 points and F=500 frames with
+    missing points (all four sections, a 1.85 MiB file) the traced peaks are
+    1.86 MiB (load) and 1.27 MiB (save); reading the whole text and
+    splitting it into lines peaked at 5.26 MiB, and formatting from
+    per-column Python lists at 2.55 MiB.  The scan's copy is the peak of
+    any read, so the [shapes] case is measured from the end of the scan:
+    reading [shapes] alone peaks there at 1.20 MiB, the full load at
+    1.56 MiB, and its bound fails if [measurements] is parsed too."""
     spec = PlantedSpec(points=31, frames=500, camera_mode="weak_perspective", max_missing=3,
                        seed=3)
     scene = normalize_scene(synth_planted(spec)[0], "bbox")
     path = tmp_path / "scene.txt"
     save_scene(scene, path)
+    scan = nrsfm.data._scene_layout
+
+    def scan_then_reset_peak(path):
+        layout = scan(path)
+        tracemalloc.reset_peak()
+        return layout
+
+    if io == "shapes":
+        monkeypatch.setattr(nrsfm.data, "_scene_layout", scan_then_reset_peak)
+    run = {"load": lambda: load_scene(path), "save": lambda: save_scene(scene, path),
+           "shapes": lambda: read_scene_sections(path, ("shapes",))}[io]
     tracemalloc.start()
     try:
-        load_scene(path) if io == "load" else save_scene(scene, path)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -13,7 +13,9 @@ path:
 
 - demo05: `demos/05_cli_pipeline.sh DIR`;
 - acceptance: the acceptance config (P=31, F=2000, scene seed 7, widths
-  32->8, batch 64) trained for 3,000 steps, then reconstructed;
+  32->8, batch 64) trained for 3,000 steps, then reconstructed, and the
+  reconstruction evaluated against the scene with `--cumulative` and
+  `--coherence`;
 - transl-soft: a weak-perspective scene (noise 0.05, up to 3 missing points
   per frame, scene seed 8) trained with `--activation soft --translation
   --batch-size 16` for 2,000 steps, then reconstructed, a step that may
@@ -48,7 +50,9 @@ PIPELINES = {
          True),
         ("train", ["nrsfm", "train", "{out}/scene.txt", *RUN, *WIDTHS, "--batch-size", "64",
                    "--total-steps", "3000"], True),
-        ("reconstruct", RECONSTRUCT, True)],
+        ("reconstruct", RECONSTRUCT, True),
+        ("evaluate", ["nrsfm", "evaluate", "{out}/rec.txt", "{out}/scene.txt", "--cumulative",
+                      "{out}/cumulative.csv", "--coherence", "{out}/model.ckpt"], True)],
     "transl-soft": [
         ("generate", ["nrsfm", "generate", *SCENE, "--mode", "weak_perspective",
                       "--noise", "0.05", "--max-missing", "3", "--seed", "8",
