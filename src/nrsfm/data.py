@@ -3,12 +3,12 @@
 On-disk contracts
 -----------------
 Scene files are a single self-describing text container: the magic line
-and '#' header lines (key=value), then the SCENE_SECTIONS, each a '[name]'
-line, its header row, then its records ('#' lines only before the first).
-[measurements] is required; [shapes] (ground truth), [cameras] and
+and '#' header lines (key=value), then the SCENE_SECTIONS in any order, each
+a '[name]' line, its header row and its records ('#' lines only before the
+first).  [measurements] is required; [shapes] (ground truth), [cameras] and
 [normalization] are optional.  Keys and the visible flag are integers, other
 values carry 17 significant digits, so round trips are bit-exact.  Reading
-checks every section's structure, and the records of the sections it reads.
+checks each section in file order: its structure, and its records if read.
 
 Checkpoints are a binary container: the magic line, a UTF-8 JSON
 manifest line (version, config, step, tensor names/shapes), then a body of
@@ -128,6 +128,8 @@ class PlantedSpec:
             raise ValueError(f"unknown camera mode {self.camera_mode!r}")
         if not (0 <= self.noise_ratio < math.inf and self.max_missing >= 0):
             raise ValueError("noise ratio and max missing must be finite and non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def widths(self):
@@ -290,8 +292,8 @@ def _scene_layout(path):
 
 def read_scene_sections(path, names):
     """(mode, (F, P), {name: value columns}) of a scene file: for each section in names that
-    the file holds, its records' non-key columns as float64 rows sorted by (frame[, point])
-    key.  Every section's structure is checked; records only of the sections in names."""
+    it holds, the records' non-key columns as float64 rows sorted by their unique in-range
+    integer key.  In file order, every section's structure is checked; records only if read."""
     header, sections = _scene_layout(path)
     try:
         F, P = int(header["frames"]), int(header["points"])
@@ -304,59 +306,48 @@ def read_scene_sections(path, names):
     mode = header.get("mode", "orthogonal")
     if mode not in CAMERA_MODES:
         raise SceneFormatError(f"{path}: unknown mode {mode!r}")
-    consumed = 0    # lines of fh read so far
-
-    def section_array(name):
-        """The value columns of the section's records sorted by their
-        (frame[, point]) key; each key must be an in-range integer and
-        appear exactly once."""
-        nonlocal consumed
-        header_row, n_keys = SCENE_SECTIONS[name]
-        grid = (F, P)[:n_keys]
-        line_no, row, empty, n_lines = sections[name]
-        if row != header_row:
-            raise SceneFormatError(f"{path}:{line_no + 1}: section [{name}] has header row "
-                                   f"{row!r}, expected {header_row!r}")
-        if empty:
-            raise SceneFormatError(f"{path}: empty section [{name}]")
-        if name not in names:
-            return None
-        if consumed > line_no + 1:   # a section before the last one read
-            fh.seek(0)
-            consumed = 0
-        skip, consumed = line_no + 1 - consumed, line_no + 1 + n_lines
-        try:
-            arr = np.loadtxt(islice(fh, skip, skip + n_lines), delimiter=",", comments=None,
-                             ndmin=2)
-        except ValueError as exc:
-            raise SceneFormatError(f"{path}: [{name}] starting at line "
-                                   f"{line_no + 2}: bad record ({exc})") from None
-        expected_rows = int(np.prod(grid))
-        want = (expected_rows, header_row.count(",") + 1)
-        if arr.shape != want:
-            raise SceneFormatError(f"{path}: section [{name}] has {arr.shape[0]} records of "
-                                   f"{arr.shape[1]} fields, expected {want[0]} of {want[1]}")
-        keys = arr[:, :n_keys]
-        if not np.all((keys >= 0) & (keys < grid) & (keys == np.floor(keys))):
-            raise SceneFormatError(f"{path}: section [{name}] has an index outside the grid")
-        if name != "measurements" and not np.isfinite(arr).all():
-            raise SceneFormatError(f"{path}: section [{name}] has a non-finite value")
-        order = np.full(expected_rows, -1)
-        order[np.ravel_multi_index(keys.astype(np.int64).T, grid)] = np.arange(expected_rows)
-        if np.any(order < 0):
-            raise SceneFormatError(f"{path}: section [{name}] repeats a record")
-        values = arr[order, n_keys:]
-        if name == "measurements" and not np.all((values[:, 2] == 0) | (values[:, 2] == 1)):
-            raise SceneFormatError(f"{path}: [measurements] visible must be 0 or 1")
-        if name == "measurements" and not np.isfinite(values[values[:, 2] == 1, :2]).all():
-            raise SceneFormatError(f"{path}: [measurements] has a non-finite visible point")
-        return values
-
     if "measurements" not in sections:
         raise SceneFormatError(f"{path}: missing [measurements] section")
+    arrays, consumed = {}, 0    # lines of fh read so far
     with open(path, encoding="utf-8") as fh:
-        arrays = {name: section_array(name) for name in SCENE_SECTIONS if name in sections}
-    return mode, (F, P), {name: a for name, a in arrays.items() if a is not None}
+        for name, (line_no, row, empty, n_lines) in sections.items():
+            header_row, n_keys = SCENE_SECTIONS[name]
+            if row != header_row:
+                raise SceneFormatError(f"{path}:{line_no + 1}: section [{name}] has header row "
+                                       f"{row!r}, expected {header_row!r}")
+            if empty:
+                raise SceneFormatError(f"{path}: empty section [{name}]")
+            if name not in names:
+                continue
+            skip, consumed = line_no + 1 - consumed, line_no + 1 + n_lines
+            try:
+                arr = np.loadtxt(islice(fh, skip, skip + n_lines), delimiter=",",
+                                 comments=None, ndmin=2)
+            except ValueError as exc:
+                raise SceneFormatError(f"{path}: [{name}] starting at line "
+                                       f"{line_no + 2}: bad record ({exc})") from None
+            grid = (F, P)[:n_keys]
+            expected_rows = int(np.prod(grid))
+            want = (expected_rows, header_row.count(",") + 1)
+            if arr.shape != want:
+                raise SceneFormatError(f"{path}: section [{name}] has {arr.shape[0]} records "
+                                       f"of {arr.shape[1]} fields, expected {want[0]} of {want[1]}")
+            keys = arr[:, :n_keys]
+            if not np.all((keys >= 0) & (keys < grid) & (keys == np.floor(keys))):
+                raise SceneFormatError(f"{path}: section [{name}] has an index outside the grid")
+            if name != "measurements" and not np.isfinite(arr).all():
+                raise SceneFormatError(f"{path}: section [{name}] has a non-finite value")
+            order = np.full(expected_rows, -1)
+            order[np.ravel_multi_index(keys.astype(np.int64).T, grid)] = np.arange(expected_rows)
+            if np.any(order < 0):
+                raise SceneFormatError(f"{path}: section [{name}] repeats a record")
+            values = arrays[name] = arr[order, n_keys:]
+            del arr, keys, order    # the raw parse goes before the checks below and the next one
+            if name == "measurements" and not np.all((values[:, 2] == 0) | (values[:, 2] == 1)):
+                raise SceneFormatError(f"{path}: [measurements] visible must be 0 or 1")
+            if name == "measurements" and not np.isfinite(values[values[:, 2] == 1, :2]).all():
+                raise SceneFormatError(f"{path}: [measurements] has a non-finite visible point")
+    return mode, (F, P), arrays
 
 
 def load_scene(path, sections=SCENE_SECTIONS):

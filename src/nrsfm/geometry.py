@@ -135,9 +135,9 @@ def normalize_bbox(W, mask=None):
 
 
 def polar_factor(M):
-    """Polar factor Q = U V^T of 3x2 matrices (any leading batch shape) from
-    their thin SVD.  Returns (Q, U, s, Vt, full_rank), full_rank being
-    sigma2 > RANK_EPS per matrix."""
+    """Polar factor Q = U V^T of 3x2 or 3x3 matrices (any leading batch shape)
+    from their thin SVD.  Returns (Q, U, s, Vt, full_rank), full_rank being
+    the smallest singular value > RANK_EPS per matrix."""
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     return U @ Vt, U, s, Vt, s[..., -1] > RANK_EPS
 
@@ -157,8 +157,7 @@ def orthonormalize_camera(Mraw):
 def procrustes_rotation(Sest, Sgt):
     """Orthogonal matrix R (reflections permitted) minimizing ||Sest R - Sgt||_F,
     per shape of any leading batch shape."""
-    U, _, Vt = np.linalg.svd(np.swapaxes(Sest, -1, -2) @ Sgt)
-    return U @ Vt
+    return polar_factor(np.swapaxes(Sest, -1, -2) @ Sgt)[0]
 
 
 def _sq_norms(S):

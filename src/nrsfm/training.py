@@ -50,6 +50,8 @@ class TrainConfig:
             raise ValueError("need at least one step")
         if self.eval_interval < 1:
             raise ValueError("eval interval must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.normalize not in NORMALIZE_MODES:
             raise ValueError(f"unknown normalize mode {self.normalize!r}")
 

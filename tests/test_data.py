@@ -201,7 +201,8 @@ def test_planted_spec_validation():
                        (dict(noise_ratio=-1.0), "non-negative"),
                        (dict(noise_ratio=float("nan")), "non-negative"),
                        (dict(noise_ratio=float("inf")), "finite"),
-                       (dict(max_missing=-1), "non-negative")):
+                       (dict(max_missing=-1), "non-negative"),
+                       (dict(seed=-3), "seed")):
         with pytest.raises(ValueError, match=match):
             PlantedSpec(**bad)
 
@@ -390,7 +391,33 @@ def test_sample_scene_loads_with_crlf_and_a_non_ascii_comment(tmp_path):
             assert np.array_equal(have, want) if isinstance(want, np.ndarray) else have == want
 
 
-@pytest.mark.parametrize("io,bound_mib", [("load", 2.05), ("save", 1.75), ("shapes", 1.32)])
+def test_hand_ordered_sections_read_like_the_canonical_file(tmp_path):
+    """A file with its sections in another order than save_scene's reads to
+    the same arrays for every subset of section names, and to the same
+    Scene."""
+    spec = PlantedSpec(points=5, frames=4, width_first=4, width_last=2,
+                       camera_mode="weak_perspective", max_missing=2, seed=12)
+    canonical, reordered = tmp_path / "canonical.txt", tmp_path / "reordered.txt"
+    save_scene(normalize_scene(synth_planted(spec)[0], "bbox"), canonical)
+    preamble, *parts = re.split(r"(?m)^(?=\[)", canonical.read_text())
+    blocks = {part[1:part.index("]")]: part for part in parts}
+    order = ("cameras", "normalization", "shapes", "measurements")
+    assert sorted(blocks) == sorted(order)
+    reordered.write_text(preamble + "".join(blocks[name] for name in order))
+    for k in range(len(order) + 1):
+        for names in itertools.combinations(order, k):
+            want, have = (read_scene_sections(path, names) for path in (canonical, reordered))
+            assert have[:2] == want[:2] and sorted(have[2]) == sorted(want[2]) == sorted(names)
+            for name in names:
+                assert np.array_equal(have[2][name], want[2][name])
+    want, have = load_scene(canonical), load_scene(reordered)
+    for f in fields(Scene):
+        a, b = getattr(want, f.name), getattr(have, f.name)
+        assert np.array_equal(b, a) if isinstance(a, np.ndarray) else b == a
+
+
+@pytest.mark.parametrize("io,bound_mib", [("load", 2.05), ("save", 1.75), ("shapes", 1.32),
+                                          ("parse", 1.70)])
 def test_scene_io_peak_memory(tmp_path, monkeypatch, io, bound_mib):
     """The reader holds one copy of the file's bytes while it finds the
     sections, then streams the records of each section it reads into
@@ -400,9 +427,11 @@ def test_scene_io_peak_memory(tmp_path, monkeypatch, io, bound_mib):
     1.86 MiB (load) and 1.27 MiB (save); reading the whole text and
     splitting it into lines peaked at 5.26 MiB, and formatting from
     per-column Python lists at 2.55 MiB.  The scan's copy is the peak of
-    any read, so the [shapes] case is measured from the end of the scan:
-    reading [shapes] alone peaks there at 1.20 MiB, the full load at
-    1.56 MiB, and its bound fails if [measurements] is parsed too."""
+    any read, so the [shapes] and parse cases are measured from the end of
+    the scan: reading [shapes] alone peaks there at 1.20 MiB, and its bound
+    fails if [measurements] is parsed too; the full load (parse) peaks at
+    1.56 MiB, and at 1.83 MiB if a section's parse is still held while the
+    next section is parsed."""
     spec = PlantedSpec(points=31, frames=500, camera_mode="weak_perspective", max_missing=3,
                        seed=3)
     scene = normalize_scene(synth_planted(spec)[0], "bbox")
@@ -415,10 +444,11 @@ def test_scene_io_peak_memory(tmp_path, monkeypatch, io, bound_mib):
         tracemalloc.reset_peak()
         return layout
 
-    if io == "shapes":
+    if io in ("shapes", "parse"):
         monkeypatch.setattr(nrsfm.data, "_scene_layout", scan_then_reset_peak)
     run = {"load": lambda: load_scene(path), "save": lambda: save_scene(scene, path),
-           "shapes": lambda: read_scene_sections(path, ("shapes",))}[io]
+           "shapes": lambda: read_scene_sections(path, ("shapes",)),
+           "parse": lambda: load_scene(path)}[io]
     tracemalloc.start()
     try:
         run()

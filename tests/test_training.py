@@ -35,7 +35,8 @@ def test_config_validation():
                        (dict(decay_factor=-0.9), "decay factor"),
                        (dict(decay_factor=0.0), "decay factor"),
                        (dict(decay_factor=1.5), "decay factor"),
-                       (dict(activation="foo"), "activation")):
+                       (dict(activation="foo"), "activation"),
+                       (dict(seed=-1), "seed")):
         with pytest.raises(ValueError, match=match):
             TrainConfig(**bad)
     # the final dictionary's coherence needs two atoms
