@@ -42,9 +42,13 @@ def _given_fields(args, schema):
     return {f.name: v for f in fields(schema) if (v := getattr(args, f.name)) is not None}
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _parse_config_file(path):
     """key=value lines; '#' starts a comment; keys must be TrainConfig fields.
-    Returns the values as their fields' types."""
+    Returns the values as their fields' types; a value that is not of its
+    field's type is refused naming the line and the key."""
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -56,19 +60,13 @@ def _parse_config_file(path):
             key, value = (tok.strip() for tok in line.split("=", 1))
             if key not in _CONFIG_FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = _coerce(key, value)
+            kind = _CONFIG_FIELDS[key]
+            try:
+                out[key] = _BOOLEANS[value.lower()] if kind is bool else kind(value)
+            except (KeyError, ValueError):
+                raise ValueError(f"{path}:{lineno}: bad value for {key}: {value!r} "
+                                 f"(expected {kind.__name__})") from None
     return out
-
-
-def _coerce(key, value):
-    kind = _CONFIG_FIELDS[key]
-    if kind is bool:
-        if value.lower() in ("1", "true", "yes"):
-            return True
-        if value.lower() in ("0", "false", "no"):
-            return False
-        raise ValueError(f"bad boolean for {key}: {value!r}")
-    return kind(value)
 
 
 def _build_config(args):

@@ -14,6 +14,7 @@ from .sparse import ACTIVATIONS
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+SCENE_BLOCK = 256   # frames per forward call in a pass over a whole scene
 
 
 @dataclass
@@ -148,20 +149,33 @@ def last_dictionary_atoms(params):
     return np.ascontiguousarray(mdl.atom_rows(params).T)
 
 
-def scene_forward(scene, params):
-    """Batched forward over every frame of a (normalized) scene."""
-    return mdl.forward_batch(scene.measurements, scene.visibility, params)
+def scene_forward(scene, params, frames=slice(None)):
+    """Batched forward over the frames (a slice, default all) of a
+    (normalized) scene, read as views of its arrays."""
+    return mdl.forward_batch(scene.measurements[frames], scene.visibility[frames], params)
 
 
 def _scene_pass(scene, params):
     """scene_forward read back in the scene's own frame: (losses, valid,
     shapes, rotations, translations), with shapes and translations mapped
-    back through the scene's normalization records."""
-    losses, valid, cache = scene_forward(scene, params)
-    scales = np.ones(scene.frame_count) if scene.norm_scales is None else scene.norm_scales
-    centroids = 0.0 if scene.norm_centroids is None else scene.norm_centroids
-    return (losses, valid, np.multiply(cache["S"], scales[:, None, None], out=cache["S"]),
-            cache["Q"], centroids + scales[:, None] * cache["t_hat"])
+    back through the scene's normalization records.  The frames run in
+    blocks of SCENE_BLOCK, the last one taking the tail, so the pass holds
+    one block's activations; the outputs are allocated once and filled
+    block by block.  A tail block of its own could change bits: BLAS may
+    round a batch of a few frames unlike the same frames in a larger one."""
+    F, P = scene.frame_count, scene.point_count
+    losses, valid = np.empty(F), np.empty(F, dtype=bool)
+    shapes, rotations, translations = np.empty((F, P, 3)), np.empty((F, 3, 2)), np.empty((F, 2))
+    scales = np.ones(F) if scene.norm_scales is None else scene.norm_scales
+    centroids = np.zeros((F, 2)) if scene.norm_centroids is None else scene.norm_centroids
+    starts = [k * SCENE_BLOCK for k in range(max(1, F // SCENE_BLOCK))] + [F]
+    for block in map(slice, starts, starts[1:]):
+        losses[block], valid[block], cache = scene_forward(scene, params, block)
+        np.multiply(cache["S"], scales[block, None, None], out=shapes[block])
+        rotations[block] = cache["Q"]
+        translations[block] = centroids[block] + scales[block, None] * cache["t_hat"]
+        del cache
+    return losses, valid, shapes, rotations, translations
 
 
 def _evaluate(scene, params):

@@ -208,6 +208,28 @@ def test_train_bad_config_key_fails_cleanly(tmp_path):
     assert not os.path.exists(h)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("layers = 2.5\n", "1: bad value for layers: '2.5' (expected int)"),
+    ("width_last = 3\nbase_lr = abc\n", "2: bad value for base_lr: 'abc' (expected float)"),
+    ("# no steps\n\ntotal_steps = 1e3\n",
+     "3: bad value for total_steps: '1e3' (expected int)"),
+    ("translation = maybe\n", "1: bad value for translation: 'maybe' (expected bool)")],
+    ids=["int", "float", "third-line", "bool"])
+def test_train_bad_config_value_is_named(tmp_path, capsys, text, message):
+    """A config-file value that is not of its field's type is refused with
+    the file, the line and the key, and exit code 1."""
+    scene = _make_scene(tmp_path)
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(text)
+    ck, h = str(tmp_path / "v.ck"), str(tmp_path / "v.csv")
+    capsys.readouterr()
+    assert _run(["train", scene, "--checkpoint", ck, "--history", h,
+                 "--config", str(cfg), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
+    assert not os.path.exists(ck)
+    assert not os.path.exists(h)
+
+
 def test_reconstruct_and_evaluate_pipeline(tmp_path, capsys):
     scene = _make_scene(tmp_path)
     ck, h = str(tmp_path / "e.ck"), str(tmp_path / "e.csv")
@@ -398,6 +420,32 @@ def test_reconstruct_and_evaluate_bytes_are_pinned(tmp_path, capsys, monkeypatch
     outputs = {"rec.txt": open("rec.txt", "rb").read(), "cum.csv": open("cum.csv", "rb").read(),
                "stdout": capsys.readouterr().out.encode()}
     assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == digests
+
+
+def test_pipeline_bytes_across_a_block_boundary_are_pinned(tmp_path, capsys, monkeypatch):
+    """At F=600 every pass over the scene runs a 256-frame block and a
+    344-frame block: the history, rec.txt, the cumulative CSV and the
+    reconstruct and evaluate stdout keep the bytes they had when each pass
+    ran all frames in one forward call."""
+    monkeypatch.chdir(tmp_path)
+    assert _run(["generate", "--points", "8", "--frames", "600", "--width-first", "6",
+                 "--width-last", "3", "--sparsity", "1", "--mode", "weak_perspective",
+                 "--max-missing", "2", "--seed", "7", "--out", "scene.txt"]) == 0
+    assert _run(["train", "scene.txt", "--checkpoint", "model.ckpt", "--history", "h.csv",
+                 "--width-first", "6", "--width-last", "3", "--activation", "soft",
+                 "--batch-size", "8", "--total-steps", "40", "--eval-interval", "20",
+                 "--seed", "2", "--quiet"]) == 0
+    capsys.readouterr()
+    assert _run(["reconstruct", "scene.txt", "model.ckpt", "--out", "rec.txt"]) == 0
+    assert _run(["evaluate", "rec.txt", "scene.txt", "--cumulative", "cum.csv",
+                 "--coherence", "model.ckpt"]) == 0
+    outputs = {name: open(name, "rb").read() for name in ("h.csv", "rec.txt", "cum.csv")}
+    outputs["stdout"] = capsys.readouterr().out.encode()
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == {
+        "h.csv": "cbbf2df958c16148b29327180b28e7b928721f24cb3c73b34f5a1798af4c6c7d",
+        "rec.txt": "7a85cb213f493a45f9312ab6560ee8b00e778725152f9891c7bf5d0280632d0e",
+        "cum.csv": "a667d96fc61a5db8f7cb6d036dacc55f9162c79d5b231536f44784d3d08c472a",
+        "stdout": "302cf3fbc665ceb1f4df397561dadd00f98576104a87134329337e445d6b592a"}
 
 
 def test_reconstruct_denormalizes_through_the_scene_file(tmp_path, capsys, monkeypatch):

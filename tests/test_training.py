@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from nrsfm.data import PlantedSpec, normalize_scene, synth_planted
+from nrsfm.geometry import normalized_3d_error
 from nrsfm.model import CameraRankError, ModelParams, forward_batch, loss
 from nrsfm.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, OptimizerState,
-                            TrainConfig, _frame_stream,
+                            SCENE_BLOCK, TrainConfig, _frame_stream, _scene_pass,
                             adam_step, gradients, init_params,
                             last_dictionary_atoms, lr_schedule, reconstruct,
                             scene_error, scene_forward, train)
@@ -515,3 +516,56 @@ def test_scene_forward_peak_memory(mode, activation, translation, bound_mib):
     finally:
         tracemalloc.stop()
     assert peak <= bound_mib * 2**20
+
+
+def _planted_model(frames, translation, normalize, seed=4):
+    """An orthographic scene with a relu model, or a weak-perspective scene
+    with noise and missing points with a soft translation model: P=31,
+    widths 32 -> 8."""
+    spec = PlantedSpec(points=31, frames=frames, noise_ratio=0.05 * translation,
+                       camera_mode="weak_perspective" if translation else "orthogonal",
+                       max_missing=3 * translation, seed=seed)
+    scene = normalize_scene(synth_planted(spec)[0], normalize)
+    config = TrainConfig(activation="soft" if translation else "relu", translation=translation)
+    return scene, init_params(config, 31)
+
+
+@pytest.mark.parametrize("frames", [1, 255, 256, 257, 511, 512, 513, 767, 2001])
+@pytest.mark.parametrize("translation", [False, True], ids=["ortho-relu", "transl-soft"])
+@pytest.mark.parametrize("normalize", ["bbox", "none"])
+def test_blocked_scene_pass_equals_one_whole_pass(frames, translation, normalize):
+    """_scene_pass runs the model in blocks of SCENE_BLOCK frames, the last
+    one taking the tail, and keeps the bits of one scene_forward over the
+    whole scene, de-normalized; scene_error keeps those of
+    normalized_3d_error over that one pass.  Splitting off the tail as a
+    block of its own (a 1-frame block at F=513) changes bits."""
+    assert SCENE_BLOCK == 256
+    scene, params = _planted_model(frames, translation, normalize)
+    losses, valid, cache = scene_forward(scene, params)
+    scales = np.ones(frames) if scene.norm_scales is None else scene.norm_scales
+    centroids = 0.0 if scene.norm_centroids is None else scene.norm_centroids
+    shapes = cache["S"] * scales[:, None, None]
+    want = {"losses": losses, "valid": valid, "shapes": shapes, "rotations": cache["Q"],
+            "translations": centroids + scales[:, None] * cache["t_hat"]}
+    for (name, w), got in zip(want.items(), _scene_pass(scene, params)):
+        assert (got.dtype, got.shape) == (w.dtype, w.shape), name
+        assert got.tobytes() == w.tobytes(), name
+    assert valid.any()
+    assert scene_error(scene, params) == normalized_3d_error(
+        shapes[valid], scene.gt_shapes[valid], allow_scale=translation)
+
+
+def test_scene_error_peak_memory():
+    """scene_error holds one block's activations: its traced peak at P=31,
+    F=2000, widths 32 -> 8, weak perspective with soft thresholds, a
+    translation row, noise and missing points, is 7.3 MiB, most of it the
+    pass's outputs and the 3D error's arrays.  One forward over the whole
+    scene peaked at 11.2 MiB."""
+    scene, params = _planted_model(2000, True, "bbox", seed=3)
+    tracemalloc.start()
+    try:
+        scene_error(scene, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.0 * 2**20

@@ -16,10 +16,12 @@ path:
   32->8, batch 64) trained for 3,000 steps, then reconstructed, and the
   reconstruction evaluated against the scene with `--cumulative` and
   `--coherence`;
-- transl-soft: a weak-perspective scene (noise 0.05, up to 3 missing points
-  per frame, scene seed 8) trained with `--activation soft --translation
-  --batch-size 16` for 2,000 steps, then reconstructed, a step that may
-  fail (its exit code and stderr are compared like its output).
+- transl-soft: a weak-perspective scene (F=2001, noise 0.05, up to 3
+  missing points per frame, scene seed 8) trained with `--activation soft
+  --translation --batch-size 16` for 2,000 steps, then reconstructed, a
+  step that may fail (its exit code and stderr are compared like its
+  output).  Its passes over the scene run six 256-frame blocks and a
+  465-frame block, the 209-frame tail joined to the last.
 
 Every file a pipeline writes and every command's exit code, stdout and
 stderr are compared byte for byte.  The tool prints one `same` or `DIFFERS`
@@ -37,7 +39,7 @@ import tempfile
 from bench_pairs import ROOT, SIDES, checkout
 
 WIDTHS = ["--width-first", "32", "--width-last", "8"]
-SCENE = ["--points", "31", "--frames", "2000", *WIDTHS]
+SCENE = ["--points", "31", *WIDTHS]
 RUN = ["--checkpoint", "{out}/model.ckpt", "--history", "{out}/history.csv", "--quiet"]
 RECONSTRUCT = ["nrsfm", "reconstruct", "{out}/scene.txt", "{out}/model.ckpt",
                "--out", "{out}/rec.txt"]
@@ -46,17 +48,17 @@ RECONSTRUCT = ["nrsfm", "reconstruct", "{out}/scene.txt", "{out}/model.ckpt",
 PIPELINES = {
     "demo05": [("demo", ["sh", "demos/05_cli_pipeline.sh", "{out}"], True)],
     "acceptance": [
-        ("generate", ["nrsfm", "generate", *SCENE, "--seed", "7", "--out", "{out}/scene.txt"],
-         True),
+        ("generate", ["nrsfm", "generate", *SCENE, "--frames", "2000", "--seed", "7",
+                      "--out", "{out}/scene.txt"], True),
         ("train", ["nrsfm", "train", "{out}/scene.txt", *RUN, *WIDTHS, "--batch-size", "64",
                    "--total-steps", "3000"], True),
         ("reconstruct", RECONSTRUCT, True),
         ("evaluate", ["nrsfm", "evaluate", "{out}/rec.txt", "{out}/scene.txt", "--cumulative",
                       "{out}/cumulative.csv", "--coherence", "{out}/model.ckpt"], True)],
     "transl-soft": [
-        ("generate", ["nrsfm", "generate", *SCENE, "--mode", "weak_perspective",
-                      "--noise", "0.05", "--max-missing", "3", "--seed", "8",
-                      "--out", "{out}/scene.txt"], True),
+        ("generate", ["nrsfm", "generate", *SCENE, "--frames", "2001",
+                      "--mode", "weak_perspective", "--noise", "0.05", "--max-missing", "3",
+                      "--seed", "8", "--out", "{out}/scene.txt"], True),
         ("train", ["nrsfm", "train", "{out}/scene.txt", *RUN, *WIDTHS, "--activation", "soft",
                    "--translation", "--batch-size", "16", "--total-steps", "2000"], True),
         ("reconstruct", RECONSTRUCT, False)],
