@@ -56,8 +56,8 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Scene:
-    """A dataset of 2D measurements with visibility, optional ground truth,
-    and optional per-frame normalization records."""
+    """A dataset of 2D measurements with visibility, optional ground truth and
+    optional per-frame normalization records (both or neither), each shape-checked."""
 
     measurements: np.ndarray                 # (F, P, 2)
     visibility: np.ndarray                   # (F, P) bool
@@ -76,10 +76,14 @@ class Scene:
             raise ValueError("measurements must be (F, P, 2)")
         if self.visibility.shape != self.measurements.shape[:2]:
             raise ValueError("visibility shape must match measurements")
-        if self.gt_shapes is not None:
-            self.gt_shapes = np.asarray(self.gt_shapes, dtype=float)
-            if self.gt_shapes.shape != self.measurements.shape[:2] + (3,):
-                raise ValueError("ground-truth shapes must cover all frames")
+        F, P = self.measurements.shape[:2]
+        for f, shape in zip(fields(self)[3:], [(F, P, 3), (F, 3, 2), (F,), (F, 2), (F, 2), (F,)]):
+            if (a := getattr(self, f.name)) is not None:
+                setattr(self, f.name, a := np.asarray(a, dtype=float))
+                if a.shape != shape:
+                    raise ValueError(f"{f.name} has shape {a.shape}, expected {shape}")
+        if (self.norm_centroids is None) != (self.norm_scales is None):
+            raise ValueError("norm_centroids and norm_scales must be given together")
 
     @property
     def frame_count(self):
@@ -186,40 +190,39 @@ def synth_planted(spec):
 
 
 def make_missing(scene, max_missing, seed):
-    """Hide 1..max_missing uniformly chosen points per frame (uniform count,
-    uniform positions).  Coordinates are retained; only visibility flips."""
+    """Hide 1..max_missing uniform points per frame (uniform count and positions).  Only
+    the visibility is new; the other arrays are scene's: copy before editing in place."""
     P = scene.point_count
     if not (1 <= max_missing < P):
         raise ValueError(f"max_missing must be in 1..{P - 1}")
     rng = np.random.default_rng(seed)
-    out = scene.copy()
     vis = np.ones((scene.frame_count, P), dtype=bool)
     for f in range(scene.frame_count):
         m = int(rng.integers(1, max_missing + 1))
         hidden = rng.choice(P, size=m, replace=False)
         vis[f, hidden] = False
-    out.visibility = vis
-    return out
+    return replace(scene, visibility=vis)
 
 
 def normalize_scene(scene, mode="bbox"):
-    """Per-frame input normalization, recorded for later de-normalization.
+    """Per-frame input normalization, recorded for later de-normalization.  The
+    other arrays are scene's: copy the result (Scene.copy) before editing in place.
 
     bbox: unit bounding box (centroid of visible points to 0, larger side 1)
     center: visible-centroid shift only
-    none: identity (no records)
+    none: scene itself (its records, if any, kept)
     """
-    out = scene.copy()
     W, vis = scene.measurements, scene.visibility
     if mode == "bbox":
-        out.measurements, (out.norm_centroids, out.norm_scales) = normalize_bbox(W, vis)
+        W, (centroids, scales) = normalize_bbox(W, vis)
     elif mode == "center":
-        out.norm_centroids = visible_centroid(W, vis)
-        out.norm_scales = np.ones(scene.frame_count)
-        out.measurements = np.where(vis[..., None], W - out.norm_centroids[:, None], 0.0)
-    elif mode != "none":
+        centroids, scales = visible_centroid(W, vis), np.ones(scene.frame_count)
+        W = np.where(vis[..., None], W - centroids[:, None], 0.0)
+    elif mode == "none":
+        return scene
+    else:
         raise ValueError(f"unknown normalization mode {mode!r}")
-    return out
+    return replace(scene, measurements=W, norm_centroids=centroids, norm_scales=scales)
 
 
 # ---------------------------------------------------------------------------

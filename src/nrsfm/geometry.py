@@ -191,7 +191,7 @@ def frame_3d_errors(estimates, truths, allow_scale=False, align=True):
         raise ValueError("3D error: frame counts differ")
     denom = np.sqrt(_sq_norms(Sgt))
     if np.any(denom == 0):
-        raise ValueError("3D error: zero-norm ground-truth frame")
+        raise ValueError("3D error: zero-norm ground-truth frame" + _frame_label(denom == 0))
     Sa = align_shapes(Sest, Sgt, allow_scale=allow_scale) if align else Sest
     return np.sqrt(_sq_norms(Sa - Sgt)) / denom
 

@@ -287,12 +287,19 @@ def test_evaluate_identity_and_coherence(tmp_path, capsys):
     assert 0.0 <= c <= 1.0
 
 
-def test_evaluate_mismatch_fails(tmp_path):
+def test_evaluate_mismatch_fails(tmp_path, capsys):
     a = _make_scene(tmp_path)
     b = str(tmp_path / "other.txt")
     assert _run(["generate", "--points", "5", "--frames", "4",
                  "--width-first", "4", "--width-last", "2", "--out", b]) == 0
     assert _run(["evaluate", a, b]) == 1
+    zero = load_scene(a)
+    zero.gt_shapes[3] = 0.0
+    z = str(tmp_path / "zero.txt")
+    save_scene(zero, z)
+    capsys.readouterr()
+    assert _run(["evaluate", a, z]) == 1
+    assert capsys.readouterr().err == "error: 3D error: zero-norm ground-truth frame at frame 3\n"
 
 
 def test_reconstruct_point_mismatch_fails(tmp_path):

@@ -518,6 +518,79 @@ def test_normalize_scene_rejects_frame_without_visible_points():
             normalize_scene(scene, mode)
 
 
+_DERIVED = {"bbox": ("measurements", "norm_centroids", "norm_scales"),
+            "center": ("measurements", "norm_centroids", "norm_scales"),
+            "none": (), "missing": ("visibility",)}
+
+
+@pytest.mark.parametrize("transform", list(_DERIVED))
+def test_derived_scene_shares_the_arrays_it_keeps(transform):
+    """normalize_scene and make_missing leave their input as it was and
+    return a scene that holds new arrays only for the fields they change;
+    every other array is the input's own.  normalize_scene(s, "none") is s."""
+    spec = PlantedSpec(points=7, frames=12, width_first=6, width_last=3,
+                       camera_mode="weak_perspective", max_missing=2, seed=4)
+    scene = normalize_scene(synth_planted(spec)[0], "bbox")     # with records to keep or replace
+    before = scene.copy()
+    out = (make_missing(scene, 3, seed=5) if transform == "missing"
+           else normalize_scene(scene, transform))
+    if transform == "none":
+        assert out is scene
+    for f in fields(Scene):
+        a, b = getattr(before, f.name), getattr(scene, f.name)
+        if not isinstance(a, np.ndarray):
+            assert b == a
+            continue
+        assert b.dtype == a.dtype and b.tobytes() == a.tobytes(), f.name
+        assert np.shares_memory(getattr(out, f.name), b) == (f.name not in _DERIVED[transform])
+
+
+@pytest.mark.parametrize("kind,bound_mib", [
+    (dict(camera_mode="orthogonal"), 5.05),
+    (dict(camera_mode="weak_perspective", noise_ratio=0.1, max_missing=3), 5.75)],
+    ids=["ortho", "transl"])
+def test_normalized_planted_scene_peak_memory(kind, bound_mib):
+    """Set-up of the training benchmark's scenes (P=31, F=2000, widths
+    32 -> 8, seed 11): the traced peak of normalize_scene(synth_planted(spec)
+    [0], "bbox") is 4.60 MiB for the orthographic scene and 5.20 MiB for the
+    weak-perspective one with noise and up to 3 hidden points per frame.
+    Deep-copying the scene in normalize_scene and make_missing, and then
+    replacing the fields they change, peaked at 7.16 MiB for both.  A small
+    scene is made first, since a process's first call peaks 0.73 MiB higher."""
+    normalize_scene(synth_planted(PlantedSpec(frames=4, seed=11, **kind))[0], "bbox")
+    spec = PlantedSpec(points=31, frames=2000, width_first=32, width_last=8, seed=11, **kind)
+    tracemalloc.start()
+    try:
+        normalize_scene(synth_planted(spec)[0], "bbox")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20
+
+
+def test_scene_checks_every_array():
+    """Each optional array must have its field's shape and is converted to
+    float; the normalization records come as a pair.  Refusals name the
+    field and both shapes, and derived scenes are checked too."""
+    F, P = 6, 4
+    W, vis = np.zeros((F, P, 2)), np.ones((F, P), bool)
+    bad = {"gt_shapes": np.zeros((F, P, 2)), "gt_rotations": np.zeros((F, 2, 3)),
+           "gt_scales": np.ones(F + 1), "gt_translations": np.zeros((F, 3)),
+           "norm_centroids": np.zeros((F, 3)), "norm_scales": np.ones((F, 2))}
+    pair = {"norm_centroids": np.zeros((F, 2)), "norm_scales": np.ones(F)}
+    for name, a in bad.items():
+        message = re.escape(f"{name} has shape {a.shape}, expected ")
+        with pytest.raises(ValueError, match=message):
+            Scene(W, vis, **{**pair, name: a})
+        with pytest.raises(ValueError, match=message):
+            replace(Scene(W, vis, **pair), **{name: a})
+    for name in pair:
+        with pytest.raises(ValueError, match="norm_centroids and norm_scales must be given "):
+            Scene(W, vis, **{name: pair[name]})
+    scene = Scene(W, vis, gt_scales=[1] * F, gt_translations=np.zeros((F, 2), int))
+    assert scene.gt_scales.dtype == scene.gt_translations.dtype == float
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     config = TrainConfig(width_first=6, width_last=3, total_steps=5)
     params = init_params(config, 7)

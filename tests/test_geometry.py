@@ -222,6 +222,9 @@ def test_frame_3d_errors_one_per_frame():
                 aligned = aligned * (np.sum(aligned * S[f]) / np.sum(aligned * aligned))
             assert errs[f] == np.linalg.norm(aligned - S[f]) / np.linalg.norm(S[f])
         assert normalized_3d_error(est, S, allow_scale=allow_scale) == np.mean(errs)
+    S[3] = 0.0
+    with pytest.raises(ValueError, match="^3D error: zero-norm ground-truth frame at frame 3$"):
+        frame_3d_errors(est, S)
 
 
 def test_normalized_3d_error_zero_norm_rejected():

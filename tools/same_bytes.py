@@ -22,11 +22,17 @@ path:
   step that may fail (its exit code and stderr are compared like its
   output).  Its passes over the scene run six 256-frame blocks and a
   465-frame block, the 209-frame tail joined to the last.
+- normalize-modes: a weak-perspective scene (F=600, scene seed 9) trained
+  for 300 steps with `--normalize center`, then with `--normalize none
+  --translation`, each run followed by a reconstruct that may fail, so
+  that the two normalization modes the other pipelines do not train with
+  are covered.
 
 Every file a pipeline writes and every command's exit code, stdout and
 stderr are compared byte for byte.  The tool prints one `same` or `DIFFERS`
-line per item and exits 1 if any item differs; a command other than the
-last reconstruct that fails on either side stops it with exit 2.
+line per item and exits 1 if any item differs; any other command (all but
+the reconstructs that may fail) that fails on either side stops it with
+exit 2.
 """
 
 import argparse
@@ -43,6 +49,19 @@ SCENE = ["--points", "31", *WIDTHS]
 RUN = ["--checkpoint", "{out}/model.ckpt", "--history", "{out}/history.csv", "--quiet"]
 RECONSTRUCT = ["nrsfm", "reconstruct", "{out}/scene.txt", "{out}/model.ckpt",
                "--out", "{out}/rec.txt"]
+
+
+def normalize_run(mode, *flags):
+    """Train with --normalize mode and flags for 300 steps, then reconstruct, which may
+    fail; each run writes its own files."""
+    files = [f"{{out}}/{mode}.ckpt", f"{{out}}/{mode}-history.csv", f"{{out}}/{mode}-rec.txt"]
+    return [(f"train-{mode}", ["nrsfm", "train", "{out}/scene.txt", "--checkpoint", files[0],
+                               "--history", files[1], "--quiet", *WIDTHS, "--normalize", mode,
+                               *flags, "--total-steps", "300"], True),
+            (f"reconstruct-{mode}", ["nrsfm", "reconstruct", "{out}/scene.txt", files[0],
+                                     "--out", files[2]], False)]
+
+
 # pipeline -> steps of (name, argv with {out} for the output directory,
 # whether the step must succeed)
 PIPELINES = {
@@ -62,6 +81,10 @@ PIPELINES = {
         ("train", ["nrsfm", "train", "{out}/scene.txt", *RUN, *WIDTHS, "--activation", "soft",
                    "--translation", "--batch-size", "16", "--total-steps", "2000"], True),
         ("reconstruct", RECONSTRUCT, False)],
+    "normalize-modes": [
+        ("generate", ["nrsfm", "generate", *SCENE, "--frames", "600", "--mode",
+                      "weak_perspective", "--seed", "9", "--out", "{out}/scene.txt"], True),
+        *normalize_run("center"), *normalize_run("none", "--translation")],
 }
 
 
