@@ -8,6 +8,7 @@ import numpy as np
 RANK_EPS = 1e-10
 
 CAMERA_MODES = ("orthogonal", "weak_perspective")
+ERROR_BLOCK = 256   # frames aligned at a time by frame_3d_errors
 NORMALIZE_MODES = ("bbox", "center", "none")  # see data.normalize_scene
 
 
@@ -182,23 +183,32 @@ def align_shapes(Sest, Sgt, allow_scale=False):
     return aligned
 
 
-def frame_3d_errors(estimates, truths, allow_scale=False, align=True):
+def frame_3d_errors(estimates, truths, allow_scale=False, align=True, frames=None):
     """Per frame ||align(S_est) - S_gt||_F / ||S_gt||_F of (F, P, 3) stacks,
-    as an array."""
+    as an array, aligned in blocks of ERROR_BLOCK frames so that only one
+    block's temporaries are held.  frames, the scene index of each frame
+    (default 0..F-1), names a zero-norm ground-truth frame."""
     Sest = np.asarray(estimates, dtype=float)
     Sgt = np.asarray(truths, dtype=float)
     if len(Sest) != len(Sgt):
         raise ValueError("3D error: frame counts differ")
     denom = np.sqrt(_sq_norms(Sgt))
     if np.any(denom == 0):
-        raise ValueError("3D error: zero-norm ground-truth frame" + _frame_label(denom == 0))
-    Sa = align_shapes(Sest, Sgt, allow_scale=allow_scale) if align else Sest
-    return np.sqrt(_sq_norms(Sa - Sgt)) / denom
+        first = np.argmax(denom == 0)
+        raise ValueError("3D error: zero-norm ground-truth frame at frame "
+                         f"{first if frames is None else frames[first]}")
+    errors = np.empty(len(Sgt))
+    for i in range(0, len(Sgt), ERROR_BLOCK):
+        est, gt = Sest[i:i + ERROR_BLOCK], Sgt[i:i + ERROR_BLOCK]
+        Sa = align_shapes(est, gt, allow_scale=allow_scale) if align else est
+        errors[i:i + ERROR_BLOCK] = np.sqrt(_sq_norms(Sa - gt))
+    errors /= denom
+    return errors
 
 
-def normalized_3d_error(estimates, truths, allow_scale=False, align=True):
+def normalized_3d_error(estimates, truths, allow_scale=False, align=True, frames=None):
     """Mean over frames of frame_3d_errors."""
-    return float(np.mean(frame_3d_errors(estimates, truths, allow_scale, align)))
+    return float(np.mean(frame_3d_errors(estimates, truths, allow_scale, align, frames)))
 
 
 def mutual_coherence(D):

@@ -52,7 +52,9 @@ class ModelParams:
     The constructor copies these arrays into one float64 vector `flat`, in
     param_items order, and rebinds the fields above as views into it: an
     in-place edit of either is an edit of both.  params[name] is the view
-    param_items names.  backward_batch returns gradients in this layout.
+    param_items names, and `thresholds` is one view of every threshold,
+    the encoder's then the decoder's, which sit next to each other there.
+    backward_batch returns gradients in this layout.
     """
 
     dictionaries: list
@@ -97,6 +99,8 @@ class ModelParams:
         self.dictionaries, self.enc_thresholds, self.dec_thresholds, (self.beta, self.gamma) = (
             [next(views).reshape(a.shape) for a in group] for group in groups)
         self.flat = flat
+        lo, n_enc, n_dec = (sum(a.size for a in group) for group in groups[:3])
+        self.thresholds = flat[lo:lo + n_enc + n_dec]
 
     @property
     def n_layers(self):
@@ -206,9 +210,11 @@ def _encoder(Xt, params):
     B = Xt.shape[1] // 2
     V = (params.dictionaries[0].T @ Xt).reshape(-1, 3, B, 2)
     if params.block_rows == 4:
+        V4 = np.empty((len(V), 4, B, 2))
+        V4[:, :3] = V
         # every atom's implicit column of ones sums the frame's points
-        ones_row = Xt.reshape(-1, B, 2).sum(axis=0)
-        V = np.concatenate([V, np.broadcast_to(ones_row, (len(V), 1, B, 2))], axis=1)
+        V4[:, 3] = Xt.reshape(-1, B, 2).sum(axis=0)
+        V = V4
     blocks = []
     for d, b in enumerate(params.enc_thresholds):
         if d:   # V holds Psi_d by now
@@ -319,33 +325,37 @@ def polar_vjp(U, s, Vt, gQ):
     return (U @ core + (gQ - U @ (Ut @ gQ)) @ (V * sinv[:, None, :])) @ Vt
 
 
-def backward_batch(cache, params):
+def backward_batch(cache, params, out=None):
     """Exact gradient of the summed loss over valid frames, laid out like
-    params: a ModelParams, indexable by param_items name.  Raises
-    FloatingPointError naming the first group with a non-finite entry."""
+    params: a ModelParams, indexable by param_items name.  With out (a
+    ModelParams in that layout) the gradient overwrites out and out is
+    returned; without, a new one is allocated.  Raises FloatingPointError
+    naming the first group with a non-finite entry."""
     gWhat = -cache["resid"] / cache["losses"][:, None, None] * cache["valid"][:, None, None]
 
     S, Q, Mraw = cache["S"], cache["Q"], cache["Mraw"]
     gS = (gWhat @ np.swapaxes(Q, 1, 2)).reshape(len(S), -1)
     gQ = np.swapaxes(S, 1, 2) @ gWhat
-    gMraw = np.zeros_like(Mraw)
+    gMraw = np.empty(Mraw.shape)     # its rows are all written below
     gMraw[:, :3, :] = polar_vjp(cache["U"], cache["s"], cache["Vt"], gQ)
 
-    grads = params.zeros_like()
+    grads = params.zeros_like() if out is None else out
+    grads.flat.fill(0.0)
+    P, K1 = params.point_count, params.widths[0]
+    gD1 = grads.dictionaries[0].reshape(P, K1, 3)   # a view: atom-major terms add in place
 
     # decoder final (linear) layer, and with 4-row blocks t_hat = sum(phi1) * Mraw[3]
     phi1 = cache["phi1"]
-    P, K1 = params.point_count, params.widths[0]
     gphi = gS @ cache["atom_rows"].T
-    grads.dictionaries[0] += (phi1.T @ gS).reshape(K1, P, 3).transpose(1, 0, 2).reshape(P, 3 * K1)
+    gD1 += (phi1.T @ gS).reshape(K1, P, 3).transpose(1, 0, 2)
     if params.block_rows == 4:
         gt = gWhat.sum(axis=1)
         gphi = gphi + np.sum(gt * Mraw[:, 3, :], axis=1)[:, None]
         gMraw[:, 3, :] = cache["eps"][:, None] * gt
 
     # decoder thresholded layers, the last one applied first
-    for d, phi_in, out in reversed(cache["dec_records"]):
-        gu, gnb = _threshold_vjp(gphi, out, params.activation)
+    for d, phi_in, phi_out in reversed(cache["dec_records"]):
+        gu, gnb = _threshold_vjp(gphi, phi_out, params.activation)
         grads.dec_thresholds[d - 1] -= gnb.sum(axis=0)
         grads.dictionaries[d] += gu.T @ phi_in
         gphi = gu @ params.dictionaries[d]
@@ -357,8 +367,9 @@ def backward_batch(cache, params):
     rows = blocksN.transpose(0, 2, 1, 3).reshape(-1, 2 * params.block_rows)
     grads.beta += np.dot(gpsiN.T.reshape(1, -1), rows).reshape(params.beta.shape)
     grads.gamma += blocksN.reshape(len(blocksN), -1) @ gMraw_t.ravel()
-    gPsi = (params.beta[:, None, :] * gpsiN.T[:, None, :, None]
-            + params.gamma[:, None, None, None] * gMraw_t)
+    # as two outer products: the bits of broadcasting both terms onto (K, r, B, 2), faster
+    gPsi = np.multiply.outer(params.gamma, gMraw_t)
+    gPsi += np.multiply.outer(gpsiN.T, params.beta).transpose(0, 2, 1, 3)
 
     # encoder layers N..1
     for d in range(params.n_layers - 1, -1, -1):

@@ -127,8 +127,7 @@ def adam_step(params, grads, state, lr):
     v *= ADAM_BETA2
     v += (1 - ADAM_BETA2) * g * g
     params.flat -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-    for b in params.enc_thresholds + params.dec_thresholds:
-        np.maximum(b, 0.0, out=b)
+    np.maximum(params.thresholds, 0.0, out=params.thresholds)
     return params, state
 
 
@@ -186,7 +185,8 @@ def _evaluate(scene, params):
     if not np.any(valid):
         return float("nan"), None
     error3d = (None if scene.gt_shapes is None else normalized_3d_error(
-        shapes[valid], scene.gt_shapes[valid], allow_scale=scene.mode == "weak_perspective"))
+        shapes[valid], scene.gt_shapes[valid], allow_scale=scene.mode == "weak_perspective",
+        frames=np.flatnonzero(valid)))
     return float(losses[valid].mean()), error3d
 
 
@@ -202,13 +202,19 @@ def scene_error(scene, params):
     return error
 
 
-def _frame_stream(seed, n_frames, start):
-    """Training's frame indices from entry start on: the seeded per-epoch
-    permutations laid end to end."""
-    epoch, pos = divmod(start, n_frames)
-    for epoch in count(epoch):
-        yield from np.random.default_rng([seed, 7919, epoch]).permutation(n_frames)[pos:].tolist()
-        pos = 0
+def _frame_batches(seed, n_frames, start, size):
+    """Training's batches of size frame indices from entry start on: slices
+    of the seeded per-epoch permutations laid end to end.  A batch that
+    crosses an epoch boundary, or is longer than the scene, joins the
+    slices of the epochs it spans."""
+    first, pos = divmod(start, n_frames)
+    epochs = (np.random.default_rng([seed, 7919, e]).permutation(n_frames) for e in count(first))
+    rest = next(epochs)[pos:]
+    while True:
+        while len(rest) < size:
+            rest = np.concatenate([rest, next(epochs)])
+        yield rest[:size]
+        rest = rest[size:]
 
 
 @dataclass
@@ -247,7 +253,9 @@ def train(scene, config, init=None, verbose=True):
         opt_state = OptimizerState.zeros(params)
 
     history = TrainHistory()
-    frames = _frame_stream(config.seed, scene.frame_count, start_step * config.batch_size)
+    batches = _frame_batches(config.seed, scene.frame_count, start_step * config.batch_size,
+                             config.batch_size)
+    grads = params.zeros_like()     # backward_batch overwrites it every step
 
     def record(step):
         mean_loss, error3d = _evaluate(scene, params)
@@ -262,12 +270,11 @@ def train(scene, config, init=None, verbose=True):
 
     if start_step == 0:
         record(0)
-    for step in range(start_step, config.total_steps):
-        idx = np.fromiter(frames, np.intp, config.batch_size)
+    for step, idx in zip(range(start_step, config.total_steps), batches):
         _, valid, cache = mdl.forward_batch(scene.measurements[idx],
                                             scene.visibility[idx], params)
         skipped += int(np.count_nonzero(~valid))
-        adam_step(params, mdl.backward_batch(cache, params), opt_state,
+        adam_step(params, mdl.backward_batch(cache, params, out=grads), opt_state,
                   lr_schedule(step, config))
         if (step + 1) % config.eval_interval == 0 or step + 1 == config.total_steps:
             record(step + 1)

@@ -645,6 +645,45 @@ def test_params_iterate_over_names():
         (name, a.shape) for name, a in params.param_items()]
 
 
+@pytest.mark.parametrize("block_rows", [3, 4])
+def test_backward_into_a_buffer_equals_a_fresh_gradient(block_rows):
+    """backward_batch(..., out=buf) overwrites buf whatever it held and
+    returns it, with the bytes of a freshly allocated gradient; gradients()
+    returns a gradient of its own on every call."""
+    rng = np.random.default_rng(45)
+    params = _random_params(rng, widths=(6, 4, 3), activation="soft", block_rows=block_rows,
+                            thresholds=0.02)
+    W = rng.standard_normal((2, 4, 5, 2)) + 2.0
+    vis = rng.random((2, 4, 5)) > 0.2
+    caches = [forward_batch(W[i], vis[i], params)[2] for i in range(2)]
+    fresh = [backward_batch(cache, params) for cache in caches]
+    assert fresh[0].flat.tobytes() != fresh[1].flat.tobytes()
+    buf = params.zeros_like()
+    buf.flat[:] = rng.standard_normal(buf.flat.shape) * 1e3
+    buf.flat[::7] = np.nan
+    assert backward_batch(caches[0], params, out=buf) is buf
+    assert buf.flat.tobytes() == fresh[0].flat.tobytes()
+    backward_batch(caches[1], params, out=buf)
+    assert buf.flat.tobytes() == fresh[1].flat.tobytes()
+    for name, g in buf.param_items():
+        assert np.shares_memory(g, buf.flat), name
+    g1, g2 = gradients(params, W[0], vis[0]), gradients(params, W[0], vis[0])
+    assert g1.flat.tobytes() == g2.flat.tobytes() == fresh[0].flat.tobytes()
+    assert not np.shares_memory(g1.flat, g2.flat)
+
+
+def test_thresholds_view_holds_every_threshold():
+    """params.thresholds is one view of flat over the encoder's and then
+    the decoder's thresholds, which Adam clamps in one call."""
+    params = _random_params(np.random.default_rng(46), widths=(6, 4, 3), thresholds=0.02)
+    assert np.shares_memory(params.thresholds, params.flat)
+    assert params.thresholds.tobytes() == np.concatenate(
+        params.enc_thresholds + params.dec_thresholds).tobytes()
+    for other in (params.copy(), params.zeros_like()):
+        assert np.shares_memory(other.thresholds, other.flat)
+        assert other.thresholds.size == params.thresholds.size
+
+
 def test_zeros_like_is_an_unshared_zero_layout():
     rng = np.random.default_rng(44)
     params = _random_params(rng, widths=(6, 4, 3), block_rows=4, thresholds=0.02)

@@ -8,7 +8,7 @@ from nrsfm.data import PlantedSpec, normalize_scene, synth_planted
 from nrsfm.geometry import normalized_3d_error
 from nrsfm.model import CameraRankError, ModelParams, forward_batch, loss
 from nrsfm.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, OptimizerState,
-                            SCENE_BLOCK, TrainConfig, _frame_stream, _scene_pass,
+                            SCENE_BLOCK, TrainConfig, _frame_batches, _scene_pass,
                             adam_step, gradients, init_params,
                             last_dictionary_atoms, lr_schedule, reconstruct,
                             scene_error, scene_forward, train)
@@ -176,9 +176,8 @@ def _batch_indices_loop(seed, n_frames, step, batch_size):
 def test_batch_indices_match_loop_oracle(n_frames, batch_size, start_step):
     # across epoch boundaries, batches longer than the scene, and a stream
     # started at a resumed run's first step
-    frames = _frame_stream(11, n_frames, start_step * batch_size)
-    for step in range(start_step, 40):
-        got = np.fromiter(frames, np.intp, batch_size)
+    batches = _frame_batches(11, n_frames, start_step * batch_size, batch_size)
+    for step, got in zip(range(start_step, 40), batches):
         assert np.array_equal(got, _batch_indices_loop(11, n_frames, step, batch_size))
 
 
@@ -553,6 +552,25 @@ def test_blocked_scene_pass_equals_one_whole_pass(frames, translation, normalize
     assert valid.any()
     assert scene_error(scene, params) == normalized_3d_error(
         shapes[valid], scene.gt_shapes[valid], allow_scale=translation)
+
+
+def test_zero_norm_ground_truth_is_named_by_its_scene_frame():
+    """The 3D error runs over the frames with a valid camera only, but a
+    zero-norm ground truth is named by its frame in the scene: with frames
+    3, 5, 8, 11, 19 and 23 invalid, frame 22 is not called frame 17."""
+    spec = PlantedSpec(points=8, frames=24, width_first=6, width_last=3, sparsity=1,
+                       camera_mode="weak_perspective", seed=3)
+    scene = synth_planted(spec)[0]
+    config = TrainConfig(width_first=6, width_last=3, translation=True, normalize="none",
+                         batch_size=4, total_steps=1)
+    params = init_params(config, scene.point_count)
+    assert np.flatnonzero(~scene_forward(scene, params)[1]).tolist() == [3, 5, 8, 11, 19, 23]
+    gt = scene.gt_shapes.copy()
+    gt[22] = 0.0
+    scene = replace(scene, gt_shapes=gt)
+    for run in (lambda: scene_error(scene, params), lambda: train(scene, config, verbose=False)):
+        with pytest.raises(ValueError, match="^3D error: zero-norm ground-truth frame at frame 22$"):
+            run()
 
 
 def test_scene_error_peak_memory():
