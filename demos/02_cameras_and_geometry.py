@@ -43,9 +43,9 @@ R = random_rotation(3)
 print("error of rotated truth:", normalized_3d_error([S @ R], [S]))
 direction = rng.standard_normal(S.shape)
 direction /= np.linalg.norm(direction)
-noisy = [S + 0.08 * np.linalg.norm(S) * direction]
-print("error of 8%-perturbed shape:",
-      round(normalized_3d_error(noisy, [S], align=False), 4))
+noisy = S + 0.08 * np.linalg.norm(S) * direction
+print("unaligned error of 8%-perturbed shape:",
+      round(np.linalg.norm(noisy - S) / np.linalg.norm(S), 4))
 print("aligned shape matches truth:",
       np.allclose(align_shapes(S @ R, S), S, atol=1e-8))
 

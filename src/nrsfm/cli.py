@@ -69,18 +69,21 @@ def _parse_config_file(path):
     return out
 
 
-def _build_config(args):
-    """Merge TrainConfig defaults < config file < explicit flags."""
-    merged = _parse_config_file(args.config) if args.config else {}
-    merged.update(_given_fields(args, TrainConfig))
-    return TrainConfig(**merged), merged
-
-
 def _csv_cell(value):
     """'' for None, 17 significant digits for a float, str otherwise."""
     if value is None:
         return ""
     return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def _write_csv(path, artifacts, header, rows, comments=()):
+    """Record path in artifacts, then write '# ' comment lines, the header
+    row and each row's _csv_cell cells, one line each."""
+    artifacts.append(path)
+    with open(path, "w") as fh:
+        fh.writelines(f"# {c}\n" for c in comments)
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(_csv_cell, row)) + "\n" for row in rows)
 
 
 def cmd_generate(args, artifacts):
@@ -97,7 +100,10 @@ def cmd_generate(args, artifacts):
 
 def cmd_train(args, artifacts):
     scene = load_scene(args.scene)
-    config, merged = _build_config(args)
+    # TrainConfig defaults < config file < explicit flags
+    merged = _parse_config_file(args.config) if args.config else {}
+    merged.update(_given_fields(args, TrainConfig))
+    config = TrainConfig(**merged)
     if config.translation and scene.mode != "weak_perspective":
         raise ValueError("translation mode requires a weak-perspective scene")
     scene_n = normalize_scene(scene, config.normalize)
@@ -114,14 +120,9 @@ def cmd_train(args, artifacts):
                     opt_state=result.opt_state, step=config.total_steps,
                     skipped=result.skipped)
 
-    lines = [f"# scene={args.scene}"]
-    for key in sorted(merged):
-        lines.append(f"# {key}={merged[key]}")
-    lines.append(",".join(f.name for f in fields(HistoryRecord)))
-    lines += [",".join(map(_csv_cell, astuple(rec))) for rec in result.history.records]
-    artifacts.append(args.history)
-    with open(args.history, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(args.history, artifacts, ",".join(f.name for f in fields(HistoryRecord)),
+               map(astuple, result.history.records),
+               [f"scene={args.scene}"] + [f"{key}={merged[key]}" for key in sorted(merged)])
     print(f"wrote {args.checkpoint} and {args.history}")
     return 0
 
@@ -150,14 +151,15 @@ def cmd_reconstruct(args, artifacts):
 
 
 def cmd_evaluate(args, artifacts):
+    if not (args.estimates and args.truth
+            or args.coherence and not args.estimates and not args.cumulative):
+        raise ValueError("evaluate needs an estimates file and a truth file "
+                         "(or --coherence alone)")
     if args.coherence:
         params, _, _, _, _ = load_checkpoint(args.coherence)
         print(f"coherence {mutual_coherence(last_dictionary_atoms(params)):.6f}")
         if not args.estimates:
             return 0
-    if not (args.estimates and args.truth):
-        raise ValueError("evaluate needs an estimates file and a truth file "
-                         "(or --coherence alone)")
     # only [shapes] is parsed: the other sections' records are not used
     _, (F, P), est = read_scene_sections(args.estimates, ("shapes",))
     mode, (G, Q), gt = read_scene_sections(args.truth, ("shapes",))
@@ -170,13 +172,9 @@ def cmd_evaluate(args, artifacts):
     print(f"error {np.mean(errs):.6f}")
     if args.cumulative:
         errs = np.sort(errs)
-        F = len(errs)
         rows = [(0, np.count_nonzero(errs <= 0) / F)]
         rows += [(e, (i + 1) / F) for i, e in enumerate(errs)]
-        lines = ["threshold,fraction"] + [",".join(map(_csv_cell, row)) for row in rows]
-        artifacts.append(args.cumulative)
-        with open(args.cumulative, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(args.cumulative, artifacts, "threshold,fraction", rows)
         print(f"wrote {args.cumulative}")
     return 0
 

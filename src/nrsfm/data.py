@@ -84,6 +84,9 @@ class Scene:
                     raise ValueError(f"{f.name} has shape {a.shape}, expected {shape}")
         if (self.norm_centroids is None) != (self.norm_scales is None):
             raise ValueError("norm_centroids and norm_scales must be given together")
+        for name in ("gt_scales", "gt_translations"):
+            if self.gt_rotations is None and getattr(self, name) is not None:
+                raise ValueError(f"{name} needs gt_rotations")
 
     @property
     def frame_count(self):
@@ -357,18 +360,14 @@ def load_scene(path, sections=SCENE_SECTIONS):
     """The Scene of a scene file, from [measurements] and those of its other sections that
     are in sections (all by default); see read_scene_sections for what is checked."""
     mode, (F, P), arrays = read_scene_sections(path, {"measurements", *sections})
-    m = arrays["measurements"]
-    scene = Scene(m[:, :2].reshape(F, P, 2), m[:, 2].reshape(F, P).astype(bool), mode)
-    if "shapes" in arrays:
-        scene.gt_shapes = arrays["shapes"].reshape(F, P, 3)
-    if "cameras" in arrays:
-        c = arrays["cameras"]
-        scene.gt_rotations = np.ascontiguousarray(c[:, :6].reshape(F, 2, 3).transpose(0, 2, 1))
-        scene.gt_scales, scene.gt_translations = c[:, 6].copy(), c[:, 7:9].copy()
-    if "normalization" in arrays:
-        n = arrays["normalization"]
-        scene.norm_centroids, scene.norm_scales = n[:, :2].copy(), n[:, 2].copy()
-    return scene
+    m, S = arrays["measurements"], arrays.get("shapes")
+    c, n = arrays.get("cameras"), arrays.get("normalization")
+    return Scene(m[:, :2].reshape(F, P, 2), m[:, 2].reshape(F, P).astype(bool), mode,
+                 None if S is None else S.reshape(F, P, 3),
+                 None if c is None else np.ascontiguousarray(
+                     c[:, :6].reshape(F, 2, 3).transpose(0, 2, 1)),
+                 None if c is None else c[:, 6].copy(), None if c is None else c[:, 7:9].copy(),
+                 None if n is None else n[:, :2].copy(), None if n is None else n[:, 2].copy())
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,7 @@ def align_shapes(Sest, Sgt, allow_scale=False):
     return aligned
 
 
-def frame_3d_errors(estimates, truths, allow_scale=False, align=True, frames=None):
+def frame_3d_errors(estimates, truths, allow_scale=False, frames=None):
     """Per frame ||align(S_est) - S_gt||_F / ||S_gt||_F of (F, P, 3) stacks,
     as an array, aligned in blocks of ERROR_BLOCK frames so that only one
     block's temporaries are held.  frames, the scene index of each frame
@@ -200,15 +200,14 @@ def frame_3d_errors(estimates, truths, allow_scale=False, align=True, frames=Non
     errors = np.empty(len(Sgt))
     for i in range(0, len(Sgt), ERROR_BLOCK):
         est, gt = Sest[i:i + ERROR_BLOCK], Sgt[i:i + ERROR_BLOCK]
-        Sa = align_shapes(est, gt, allow_scale=allow_scale) if align else est
-        errors[i:i + ERROR_BLOCK] = np.sqrt(_sq_norms(Sa - gt))
+        errors[i:i + ERROR_BLOCK] = np.sqrt(_sq_norms(align_shapes(est, gt, allow_scale) - gt))
     errors /= denom
     return errors
 
 
-def normalized_3d_error(estimates, truths, allow_scale=False, align=True, frames=None):
+def normalized_3d_error(estimates, truths, allow_scale=False, frames=None):
     """Mean over frames of frame_3d_errors."""
-    return float(np.mean(frame_3d_errors(estimates, truths, allow_scale, align, frames)))
+    return float(np.mean(frame_3d_errors(estimates, truths, allow_scale, frames)))
 
 
 def mutual_coherence(D):

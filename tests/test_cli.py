@@ -186,6 +186,26 @@ def test_train_config_file_and_flag_precedence(tmp_path):
     assert step == 40
 
 
+def test_train_config_history_is_pinned(tmp_path, monkeypatch):
+    """A run from a config file and one overriding flag writes the scene and
+    the merged settings as sorted '# key=value' lines before the header row;
+    the whole history keeps its bytes."""
+    monkeypatch.chdir(tmp_path)
+    _make_scene(tmp_path)
+    with open("cfg.txt", "w") as fh:
+        fh.write("width_first = 6\nwidth_last = 3\nactivation = soft\n"
+                 "total_steps = 500\neval_interval = 20\nbatch_size = 8\nseed = 2\n")
+    assert _run(["train", "scene.txt", "--checkpoint", "model.ckpt", "--history", "h.csv",
+                 "--config", "cfg.txt", "--total-steps", "40", "--quiet"]) == 0
+    data = open("h.csv", "rb").read()
+    assert data.decode().splitlines()[:9] == [
+        "# scene=scene.txt", "# activation=soft", "# batch_size=8", "# eval_interval=20",
+        "# seed=2", "# total_steps=40", "# width_first=6", "# width_last=3",
+        ",".join(f.name for f in fields(HistoryRecord))]
+    assert hashlib.sha256(data).hexdigest() == (
+        "0bdfd08133d6e28de965dc5d7cd3f211527a365aac40bb4a5f2f1586317f66e8")
+
+
 def test_train_zero_decay_steps_fails_cleanly(tmp_path, capsys):
     scene = _make_scene(tmp_path)
     ck, h = str(tmp_path / "z.ck"), str(tmp_path / "z.csv")
@@ -285,6 +305,27 @@ def test_evaluate_identity_and_coherence(tmp_path, capsys):
     assert "coherence " in out
     c = float(out.split("coherence ")[1].split()[0])
     assert 0.0 <= c <= 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--coherence", "scene.txt.params", "--cumulative", "c.csv"],
+    ["--coherence", "scene.txt.params", "scene.txt"],
+    ["--coherence", "scene.txt.params", "scene.txt", "--cumulative", "c.csv"],
+    ["scene.txt", "--cumulative", "c.csv"],
+])
+def test_evaluate_checks_its_arguments_first(tmp_path, capsys, monkeypatch, argv):
+    """--cumulative needs an estimates file and a truth file, and so does an
+    estimates file: evaluate refuses either before it loads the checkpoint,
+    so it prints nothing and writes no CSV."""
+    monkeypatch.chdir(tmp_path)
+    _make_scene(tmp_path)
+    capsys.readouterr()
+    assert _run(["evaluate", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: evaluate needs an estimates file and a truth file "
+                   "(or --coherence alone)\n")
+    assert not os.path.exists("c.csv")
 
 
 def test_evaluate_mismatch_fails(tmp_path, capsys):

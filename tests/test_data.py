@@ -570,8 +570,9 @@ def test_normalized_planted_scene_peak_memory(kind, bound_mib):
 
 def test_scene_checks_every_array():
     """Each optional array must have its field's shape and is converted to
-    float; the normalization records come as a pair.  Refusals name the
-    field and both shapes, and derived scenes are checked too."""
+    float; the normalization records come as a pair, and camera scales or
+    translations need rotations (save_scene writes them only with rotations).
+    Refusals name the field (and both shapes); derived scenes are checked too."""
     F, P = 6, 4
     W, vis = np.zeros((F, P, 2)), np.ones((F, P), bool)
     bad = {"gt_shapes": np.zeros((F, P, 2)), "gt_rotations": np.zeros((F, 2, 3)),
@@ -587,7 +588,14 @@ def test_scene_checks_every_array():
     for name in pair:
         with pytest.raises(ValueError, match="norm_centroids and norm_scales must be given "):
             Scene(W, vis, **{name: pair[name]})
-    scene = Scene(W, vis, gt_scales=[1] * F, gt_translations=np.zeros((F, 2), int))
+    camera = {"gt_scales": np.ones(F), "gt_translations": np.zeros((F, 2))}
+    for name in camera:
+        with pytest.raises(ValueError, match=f"^{name} needs gt_rotations$"):
+            Scene(W, vis, "weak_perspective", **{name: camera[name]})
+        with pytest.raises(ValueError, match=f"^{name} needs gt_rotations$"):
+            replace(Scene(W, vis, "weak_perspective"), **{name: camera[name]})
+    scene = Scene(W, vis, gt_rotations=np.tile(np.eye(3, 2), (F, 1, 1)), gt_scales=[1] * F,
+                  gt_translations=np.zeros((F, 2), int))
     assert scene.gt_scales.dtype == scene.gt_translations.dtype == float
 
 

@@ -192,7 +192,7 @@ def test_normalized_3d_error_cases():
     for s in S:
         d = rng.standard_normal(s.shape)
         pert.append(s + 0.1 * np.linalg.norm(s) * d / np.linalg.norm(d))
-    assert np.isclose(normalized_3d_error(pert, S, align=False), 0.1)
+    assert normalized_3d_error(pert, S) <= 0.1    # R = I already gives 0.1
 
 
 def test_normalized_3d_error_rotation_invariant():

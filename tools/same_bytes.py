@@ -30,12 +30,13 @@ path:
 
 Every file a pipeline writes and every command's exit code, stdout and
 stderr are compared byte for byte.  The tool prints one `same` or `DIFFERS`
-line per item and exits 1 if any item differs; any other command (all but
-the reconstructs that may fail) that fails on either side stops it with
-exit 2.
+line per item, then each side's line count of src/nrsfm/*.py, and exits 1
+if any item differs; any other command (all but the reconstructs that may
+fail) that fails on either side stops it with exit 2.
 """
 
 import argparse
+import glob
 import os
 import shutil
 import subprocess
@@ -115,6 +116,15 @@ def run_side(side, path, tmp):
     return items
 
 
+def src_lines(path):
+    """Lines of the checkout's src/nrsfm/*.py, as `wc -l` counts them."""
+    total = 0
+    for name in glob.glob(os.path.join(path, "src", "nrsfm", "*.py")):
+        with open(name, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="checkout directory or git revision")
@@ -128,8 +138,9 @@ def main():
         with open(shim, "w") as fh:
             fh.write(f'#!/bin/sh\nexec "{sys.executable}" -m nrsfm.cli "$@"\n')
         os.chmod(shim, 0o755)
-        items = {side: run_side(side, checkout(getattr(args, side), tmp, side)[0], tmp)
-                 for side in SIDES}
+        paths = {side: checkout(getattr(args, side), tmp, side)[0] for side in SIDES}
+        items = {side: run_side(side, path, tmp) for side, path in paths.items()}
+        lines = {side: src_lines(path) for side, path in paths.items()}
     differ = 0
     for name in sorted(items["base"].keys() | items["change"].keys()):
         have = [items[side].get(name) for side in SIDES]
@@ -138,6 +149,7 @@ def main():
         print(f"{'same' if same else 'DIFFERS':8}{name}"
               + (f" (missing on {missing[0]})" if missing else ""))
         differ += not same
+    print("src/nrsfm lines: " + ", ".join(f"{side} {lines[side]}" for side in SIDES))
     return 1 if differ else 0
 
 
