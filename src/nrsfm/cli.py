@@ -86,11 +86,18 @@ def _write_csv(path, artifacts, header, rows, comments=()):
         fh.writelines(",".join(map(_csv_cell, row)) + "\n" for row in rows)
 
 
+def _distinct_outputs(flag_a, path_a, flag_b, path_b):
+    """Refuse a command's two outputs at one file (paths compared after realpath)."""
+    if os.path.realpath(path_a) == os.path.realpath(path_b):
+        raise ValueError(f"{flag_a} and {flag_b} name the same file {path_b!r}")
+
+
 def cmd_generate(args, artifacts):
+    params_out = args.params_out or args.out + ".params"
+    _distinct_outputs("--out", args.out, "--params-out", params_out)
     scene, params = synth_planted(PlantedSpec(**_given_fields(args, PlantedSpec)))
     artifacts.append(args.out)
     save_scene(scene, args.out)
-    params_out = args.params_out or args.out + ".params"
     artifacts.append(params_out)
     save_checkpoint(params_out, params)
     print(f"wrote {args.out} ({scene.frame_count} frames, "
@@ -99,6 +106,7 @@ def cmd_generate(args, artifacts):
 
 
 def cmd_train(args, artifacts):
+    _distinct_outputs("--checkpoint", args.checkpoint, "--history", args.history)
     scene = load_scene(args.scene)
     # TrainConfig defaults < config file < explicit flags
     merged = _parse_config_file(args.config) if args.config else {}

@@ -17,7 +17,6 @@ Conventions
   place; its cache holds one array per layer, no pre-activations.
 """
 
-from copy import copy as shallow_copy
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
@@ -79,28 +78,20 @@ class ModelParams:
         K = self.widths
         want = [[self.dictionaries[0].shape] + list(zip(K, K[1:])), [(k,) for k in K],
                 [(k,) for k in K[:-1]], [(self.block_rows, 2), (K[-1],)]]
-        have = [[np.shape(a) for a in group] for group in self._groups()]
+        groups = self.dictionaries, self.enc_thresholds, self.dec_thresholds, (self.beta, self.gamma)
+        have = [[np.shape(a) for a in group] for group in groups]
         if have != want:
             name, h, w = next(g for g in zip(GROUP_NAMES, have, want) if g[1] != g[2])
             raise ValueError(f"the {name} of a {len(K)}-layer model have shapes {w}, got {h}")
         if any(np.any(b < 0) for b in self.enc_thresholds + self.dec_thresholds):
             raise ValueError("thresholds must be non-negative")
-        self._bind(np.concatenate([a for _, a in self.param_items()], axis=None, dtype=float))
-
-    def _groups(self):
-        return self.dictionaries, self.enc_thresholds, self.dec_thresholds, (self.beta, self.gamma)
-
-    def _bind(self, flat):
-        """Take flat as the parameter vector, in param_items order, and
-        rebind the fields as views into it."""
-        groups = self._groups()
         arrays = [a for group in groups for a in group]
-        views = (flat[e - a.size:e] for a, e in zip(arrays, accumulate(a.size for a in arrays)))
+        self.flat = np.concatenate(arrays, axis=None, dtype=float)
+        views = (self.flat[e - a.size:e] for a, e in zip(arrays, accumulate(map(np.size, arrays))))
         self.dictionaries, self.enc_thresholds, self.dec_thresholds, (self.beta, self.gamma) = (
             [next(views).reshape(a.shape) for a in group] for group in groups)
-        self.flat = flat
         lo, n_enc, n_dec = (sum(a.size for a in group) for group in groups[:3])
-        self.thresholds = flat[lo:lo + n_enc + n_dec]
+        self.thresholds = self.flat[lo:lo + n_enc + n_dec]
 
     @property
     def n_layers(self):
@@ -134,9 +125,9 @@ class ModelParams:
         return replace(self)
 
     def zeros_like(self):
-        """Zeros in this layout, with none of the constructor's checks."""
-        zeros = shallow_copy(self)
-        zeros._bind(np.zeros_like(self.flat))
+        """Zeros in this layout: a copy(), with the constructor's checks, zeroed."""
+        zeros = self.copy()
+        zeros.flat.fill(0.0)
         return zeros
 
 
@@ -339,7 +330,7 @@ def backward_batch(cache, params, out=None):
     gMraw = np.empty(Mraw.shape)     # its rows are all written below
     gMraw[:, :3, :] = polar_vjp(cache["U"], cache["s"], cache["Vt"], gQ)
 
-    grads = params.zeros_like() if out is None else out
+    grads = params.copy() if out is None else out
     grads.flat.fill(0.0)
     P, K1 = params.point_count, params.widths[0]
     gD1 = grads.dictionaries[0].reshape(P, K1, 3)   # a view: atom-major terms add in place

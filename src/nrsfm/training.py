@@ -248,9 +248,9 @@ def train(scene, config, init=None, verbose=True):
     if start_step > config.total_steps:
         raise ValueError(f"resume: checkpoint is at step {start_step}, past "
                          f"total_steps {config.total_steps}")
-    params = params.copy()
-    if opt_state is None:
-        opt_state = OptimizerState.zeros(params)
+    params = params.copy()      # the caller's params and Adam state stay as they were
+    opt_state = (OptimizerState.zeros(params) if opt_state is None else OptimizerState(
+        opt_state.moment1.copy(), opt_state.moment2.copy(), opt_state.step))
 
     history = TrainHistory()
     batches = _frame_batches(config.seed, scene.frame_count, start_step * config.batch_size,

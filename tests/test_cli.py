@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import nrsfm
+import nrsfm.cli
 from nrsfm.cli import build_parser, main
 from nrsfm.data import (PlantedSpec, SceneFormatError, load_checkpoint, load_scene,
                         normalize_scene, save_scene)
@@ -233,11 +234,13 @@ def test_train_bad_config_key_fails_cleanly(tmp_path):
     ("width_last = 3\nbase_lr = abc\n", "2: bad value for base_lr: 'abc' (expected float)"),
     ("# no steps\n\ntotal_steps = 1e3\n",
      "3: bad value for total_steps: '1e3' (expected int)"),
-    ("translation = maybe\n", "1: bad value for translation: 'maybe' (expected bool)")],
-    ids=["int", "float", "third-line", "bool"])
+    ("translation = maybe\n", "1: bad value for translation: 'maybe' (expected bool)"),
+    ("# steps\ntotal_steps 100\n", "2: expected key=value")],
+    ids=["int", "float", "third-line", "bool", "no-equals"])
 def test_train_bad_config_value_is_named(tmp_path, capsys, text, message):
     """A config-file value that is not of its field's type is refused with
-    the file, the line and the key, and exit code 1."""
+    the file, the line and the key, and a line without '=' with the file and
+    the line, each with exit code 1."""
     scene = _make_scene(tmp_path)
     cfg = tmp_path / "c.txt"
     cfg.write_text(text)
@@ -248,6 +251,82 @@ def test_train_bad_config_value_is_named(tmp_path, capsys, text, message):
     assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
     assert not os.path.exists(ck)
     assert not os.path.exists(h)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "scene.txt", "--checkpoint", "x", "--history", "x"],
+     "--checkpoint and --history name the same file 'x'"),
+    (["train", "scene.txt", "--checkpoint", "x", "--history", "sub/../x"],
+     "--checkpoint and --history name the same file 'sub/../x'"),
+    (["train", "scene.txt", "--checkpoint", "x", "--history", "link"],
+     "--checkpoint and --history name the same file 'link'"),
+    (["generate", "--out", "y", "--params-out", "y"],
+     "--out and --params-out name the same file 'y'"),
+    (["generate", "--out", "y", "--params-out", "./y"],
+     "--out and --params-out name the same file './y'"),
+], ids=["train", "train-dotted", "train-symlink", "generate", "generate-dotted"])
+def test_two_outputs_at_one_file_are_refused(tmp_path, capsys, monkeypatch, argv, message):
+    """Two outputs of one command may not name one file (paths compared after
+    realpath, so through a symlink too): the command refuses before it reads
+    the scene or generates one, exits 1 and writes nothing.  Before, the
+    later output replaced the earlier one and the command exited 0."""
+    monkeypatch.chdir(tmp_path)
+    os.symlink("x", "link")
+
+    def not_called(*args):
+        raise AssertionError("ran past the output check")
+
+    monkeypatch.setattr(nrsfm.cli, "load_scene", not_called)
+    monkeypatch.setattr(nrsfm.cli, "synth_planted", not_called)
+    assert _run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert os.listdir() == ["link"]
+
+
+def test_train_may_write_the_checkpoint_it_resumes_from(tmp_path):
+    """An output may name an input: --resume ck --checkpoint ck replaces ck
+    with the bytes a resume into another file writes."""
+    scene = _make_scene(tmp_path)
+    ck, h = str(tmp_path / "i.ck"), str(tmp_path / "i.csv")
+    assert _run(["train", scene, "--checkpoint", ck, "--history", h] + _TRAIN_FLAGS) == 0
+    resume = ["train", scene, "--resume", ck, "--history", h] + _TRAIN_FLAGS + [
+        "--total-steps", "80"]
+    other = str(tmp_path / "other.ck")
+    assert _run(resume + ["--checkpoint", other]) == 0
+    assert _run(resume + ["--checkpoint", ck]) == 0
+    with open(ck, "rb") as a, open(other, "rb") as b:
+        assert a.read() == b.read()
+
+
+def test_failed_command_removes_the_outputs_it_wrote(tmp_path, capsys):
+    """train writes the checkpoint, then fails to open a history in a missing
+    directory: it exits 1 and removes the checkpoint it wrote."""
+    scene = _make_scene(tmp_path)
+    ck, h = str(tmp_path / "f.ck"), str(tmp_path / "nodir" / "h.csv")
+    capsys.readouterr()
+    assert _run(["train", scene, "--checkpoint", ck, "--history", h] + _TRAIN_FLAGS) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory:")
+    assert not os.path.exists(ck)
+
+
+def test_train_history_without_ground_truth(tmp_path, capsys):
+    """A scene without [shapes] trains with no 3D error: each progress line
+    ends in 'err3d -' and the history's error3d cells are empty."""
+    full = load_scene(_make_scene(tmp_path))
+    scene = str(tmp_path / "no-gt.txt")
+    save_scene(replace(full, gt_shapes=None, gt_rotations=None, gt_scales=None,
+                       gt_translations=None), scene)
+    ck, h = str(tmp_path / "n.ck"), str(tmp_path / "n.csv")
+    capsys.readouterr()
+    assert _run(["train", scene, "--checkpoint", ck, "--history", h]
+                + [f for f in _TRAIN_FLAGS if f != "--quiet"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines[:-1]] == ["0", "20", "40", "60"]
+    assert all(line.endswith(" err3d -") for line in lines[:-1])
+    with open(h) as fh:
+        rows = [line.split(",") for line in fh.read().splitlines() if not line.startswith("#")]
+    column = rows[0].index("error3d")
+    assert [row[column] for row in rows[1:]] == ["", "", "", ""]
 
 
 def test_reconstruct_and_evaluate_pipeline(tmp_path, capsys):

@@ -202,7 +202,10 @@ def test_planted_spec_validation():
                        (dict(noise_ratio=float("nan")), "non-negative"),
                        (dict(noise_ratio=float("inf")), "finite"),
                        (dict(max_missing=-1), "non-negative"),
-                       (dict(seed=-3), "seed")):
+                       (dict(seed=-3), "seed"),
+                       (dict(sparsity=0), "^sparsity must be in 1..width_last$"),
+                       (dict(width_last=4, sparsity=5), "^sparsity must be in 1..width_last$"),
+                       (dict(camera_mode="perspective"), "^unknown camera mode 'perspective'$")):
         with pytest.raises(ValueError, match=match):
             PlantedSpec(**bad)
 
@@ -360,7 +363,13 @@ def test_scene_load_errors(tmp_path):
                          r"structure.txt: \[measurements\] starting at line 6: bad record"),
                         (body.replace(shapes, shapes_header), "empty section"),
                         (body + "[normalization]\nframe,cx,cy,scale\n", "empty section"),
-                        (body.replace("frames=2", "frames=2x0"), "bad header field")):
+                        (body.replace("frames=2", "frames=2x0"), "bad header field"),
+                        (body.replace("frames=2 ", ""),
+                         "structure.txt: missing header field 'frames'"),
+                        (body[:body.index("[measurements]")] + shapes,
+                         r"structure.txt: missing \[measurements\] section"),
+                        (body.replace(record, "", 1), r"structure.txt: section \[measurements\] "
+                         "has 7 records of 5 fields, expected 8 of 5")):
         (tmp_path / "structure.txt").write_text(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -569,12 +578,17 @@ def test_normalized_planted_scene_peak_memory(kind, bound_mib):
 
 
 def test_scene_checks_every_array():
-    """Each optional array must have its field's shape and is converted to
+    """The measurements must be (F, P, 2) and the visibility (F, P).  Each
+    optional array must have its field's shape and is converted to
     float; the normalization records come as a pair, and camera scales or
     translations need rotations (save_scene writes them only with rotations).
     Refusals name the field (and both shapes); derived scenes are checked too."""
     F, P = 6, 4
     W, vis = np.zeros((F, P, 2)), np.ones((F, P), bool)
+    with pytest.raises(ValueError, match=r"^measurements must be \(F, P, 2\)$"):
+        Scene(np.zeros((F, P, 3)), vis)
+    with pytest.raises(ValueError, match="^visibility shape must match measurements$"):
+        Scene(W, vis[:, :-1])
     bad = {"gt_shapes": np.zeros((F, P, 2)), "gt_rotations": np.zeros((F, 2, 3)),
            "gt_scales": np.ones(F + 1), "gt_translations": np.zeros((F, 3)),
            "norm_centroids": np.zeros((F, 3)), "norm_scales": np.ones((F, 2))}

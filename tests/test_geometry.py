@@ -36,6 +36,28 @@ def test_project_rejects_non_orthonormal():
         project(S, CameraWeak.__new__(CameraWeak).__class__(np.ones((3, 2)) * 0.9))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: CameraWeak(np.eye(3)), "camera rotation part must be 3x2, got (3, 3)"),
+    (lambda: CameraWeak(np.eye(3, 2), translation=[0.0, 0.0, 0.0]),
+     "camera translation must be a 2-vector"),
+    (lambda: CameraWeak(np.eye(3, 2), scale=0.0), "camera scale must be positive"),
+    (lambda: project(np.zeros((4, 2)), CameraWeak(np.eye(3, 2))),
+     "project: shape must be (P, 3), got (4, 2)"),
+    (lambda: project(np.zeros((4, 3)), CameraWeak(np.eye(3, 2), scale=2.0)),
+     "project: orthogonal mode requires scale 1 and zero translation"),
+    (lambda: project(np.zeros((4, 3)), CameraWeak(np.eye(3, 2)), mode="perspective"),
+     "project: unknown mode 'perspective'"),
+    (lambda: random_camera(1, mode="perspective"), "random_camera: unknown mode 'perspective'"),
+    (lambda: align_shapes(np.zeros((4, 3)), np.zeros((5, 3))),
+     "align_shapes: shapes must have matching size"),
+], ids=["rotation", "translation", "scale", "project-shape", "orthogonal-scale",
+        "project-mode", "camera-mode", "align-size"])
+def test_bad_camera_or_shape_is_named(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_project_linear_in_shape():
     rng = np.random.default_rng(2)
     S1, S2 = rng.standard_normal((2, 6, 3))
@@ -146,6 +168,8 @@ def test_orthonormalize_rejects_rank_deficient():
     M[:, 0] = [1, 0, 0]
     with pytest.raises(ValueError):
         orthonormalize_camera(M)
+    with pytest.raises(ValueError, match=r"^orthonormalize_camera: expected 3x2, got \(3, 3\)$"):
+        orthonormalize_camera(np.eye(3))
 
 
 def test_orthonormalize_nearest_point():
@@ -253,6 +277,19 @@ def test_frame_3d_errors_names_the_given_frame():
         frame_3d_errors(S, S, frames=np.array([7, 9, 11, 13, 15]))
 
 
+@pytest.mark.parametrize("extra", [-1, 1, ERROR_BLOCK - 1])
+def test_frame_3d_errors_refuses_unequal_frame_counts(extra):
+    """Estimates and truths must hold the same number of frames: estimates
+    longer than a whole block of truths by less than a block, whose extra
+    frames the blocked alignment would not reach, are refused too."""
+    rng = np.random.default_rng(19)
+    S = rng.standard_normal((ERROR_BLOCK, 5, 3))
+    est = rng.standard_normal((len(S) + extra, 5, 3))
+    for call in (frame_3d_errors, normalized_3d_error):
+        with pytest.raises(ValueError, match="^3D error: frame counts differ$"):
+            call(est, S)
+
+
 @pytest.mark.parametrize("mode", ["orthogonal", "weak_perspective"])
 def test_frame_3d_errors_peak_memory(mode):
     """At P=31 and F=2000 the traced peak is 0.41 MiB (0.65 MiB with a
@@ -307,6 +344,9 @@ def test_mutual_coherence_rejects_zero_atom():
     D[:, 1] = 0
     with pytest.raises(ValueError):
         mutual_coherence(D)
+    for bad in (np.ones((4, 1)), np.ones(4)):
+        with pytest.raises(ValueError, match="^mutual_coherence: need a matrix with at least 2 "):
+            mutual_coherence(bad)
 
 
 def test_noise_perturb():

@@ -35,6 +35,10 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(bad_dicts, p.enc_thresholds, p.dec_thresholds,
                     p.beta, p.gamma)
+    # a first dictionary whose columns do not form atoms of three
+    with pytest.raises(ValueError, match="^first dictionary must have 3\\*K1 columns$"):
+        ModelParams([p.dictionaries[0][:, :-1], p.dictionaries[1]], p.enc_thresholds,
+                    p.dec_thresholds, p.beta, p.gamma)
     # a first dictionary of the right size but flattened to one axis
     with pytest.raises(ValueError, match="2-D"):
         ModelParams([p.dictionaries[0].ravel(), p.dictionaries[1]], p.enc_thresholds,
@@ -246,7 +250,8 @@ def test_encode_runs_the_encoder_only(monkeypatch):
     bad[3, 1] = np.inf
     for args, match in (((bad, mask), "non-finite measurement at a visible point"),
                         ((W[:4], None), "model has 5 points, W has 4"),
-                        ((W, mask[:4]), "visibility shape must match W")):
+                        ((W, mask[:4]), "visibility shape must match W"),
+                        ((np.zeros((5, 3)), mask), r"W must be \(B, P, 2\), got \(1, 5, 3\)")):
         with pytest.raises(ValueError, match="^forward_batch: " + match):
             encode(*args, params)
 
@@ -696,6 +701,24 @@ def test_zeros_like_is_an_unshared_zero_layout():
     zeros.gamma[1] = 2.0
     assert zeros.flat[-2] == 2.0 and np.count_nonzero(zeros.flat) == 1
     assert params.gamma[1] == default_gamma(3)[1]
+
+
+def test_threshold_set_negative_in_place_is_refused_at_gradient_time():
+    """zeros_like is a zeroed copy(), and backward_batch without out (so
+    gradients()) allocates with copy(): each runs the constructor's checks,
+    so a threshold set below zero in place after construction is refused
+    there, for the soft VJP would misread it.  Adam clamps every threshold
+    at zero, so training's buffer (out) never meets one."""
+    rng = np.random.default_rng(48)
+    for group in ("enc_thresholds", "dec_thresholds"):
+        params = _random_params(rng, widths=(6, 3), activation="soft", thresholds=0.02)
+        W = rng.standard_normal((3, 5, 2))
+        getattr(params, group)[0][1] = -0.1
+        cache = forward_batch(W, np.ones((3, 5), dtype=bool), params)[2]
+        for call in (params.zeros_like, params.copy, lambda: gradients(params, W, None),
+                     lambda: backward_batch(cache, params)):
+            with pytest.raises(ValueError, match="^thresholds must be non-negative$"):
+                call()
 
 
 def test_non_finite_visible_measurement_is_a_named_error():

@@ -67,8 +67,13 @@ def test_ista_single_step_identity_dictionary():
 
 
 def test_ista_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^ista: dimension mismatch, x has 5 rows but D has 6$"):
         ista(np.zeros(5), np.zeros((6, 4)), 1.0, 0.1, 1)
+    # a step size that is not positive, or no iteration at all
+    for alpha, iters, match in ((0.0, 1, "step size must be positive"),
+                                (1.0, 0, "need at least one iteration")):
+        with pytest.raises(ValueError, match=f"^ista: {match}$"):
+            ista(np.zeros(6), np.zeros((6, 4)), alpha, 0.1, iters)
 
 
 def _exhaustive_support_oracle(x, D, max_support=2):
@@ -141,6 +146,13 @@ def test_group_prox_tau_zero_identity():
     assert np.array_equal(group_prox(V, 0.0), V)
 
 
+def test_group_prox_validates():
+    with pytest.raises(ValueError, match=r"^expected block code of shape \(K, r, 2\), got "):
+        group_prox(np.zeros((4, 3)), 0.5)
+    with pytest.raises(ValueError, match="^group_prox: tau must be non-negative$"):
+        group_prox(np.zeros((4, 3, 2)), -0.5)
+
+
 def test_group_prox_is_local_minimum():
     # objective of the output beats 1000 random perturbations of it
     rng = np.random.default_rng(7)
@@ -177,6 +189,24 @@ def test_block_threshold_validates():
         block_threshold(V, [1.0])
     with pytest.raises(ValueError):
         block_threshold(V, [-1.0, 0.0])
+    with pytest.raises(ValueError, match="^block_threshold: unknown mode 'tanh'$"):
+        block_threshold(V, [1.0, 0.0], mode="tanh")
+
+
+@pytest.mark.parametrize("X, D, b, mask, message", [
+    (np.zeros((6, 3)), np.zeros((6, 12)), np.zeros(4), None, "X must be (P, 2), got (6, 3)"),
+    (np.zeros((6, 2)), np.zeros((5, 12)), np.zeros(4), None, "D has 5 rows, X has 6"),
+    (np.zeros((6, 2)), np.zeros((6, 12)), np.zeros(5), None,
+     "12 dictionary columns do not split into 5 blocks"),
+    (np.zeros((6, 2)), np.zeros((6, 12)), np.zeros(0), None,
+     "12 dictionary columns do not split into 0 blocks"),
+    (np.zeros((6, 2)), np.zeros((6, 12)), np.zeros(4), np.ones(5, bool),
+     "mask length must match rows of X"),
+], ids=["X-shape", "D-rows", "blocks", "no-threshold", "mask"])
+def test_block_ista_step_validates(X, D, b, mask, message):
+    with pytest.raises(ValueError) as info:
+        block_ista_step(X, D, b, mask=mask)
+    assert str(info.value) == "block_ista_step: " + message
 
 
 def test_block_ista_step_mask_equivalence():

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from nrsfm.data import PlantedSpec, normalize_scene, synth_planted
+from nrsfm.data import PlantedSpec, Scene, normalize_scene, synth_planted
 from nrsfm.geometry import normalized_3d_error
 from nrsfm.model import CameraRankError, ModelParams, forward_batch, loss
 from nrsfm.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, OptimizerState,
@@ -37,7 +37,10 @@ def test_config_validation():
                        (dict(decay_factor=0.0), "decay factor"),
                        (dict(decay_factor=1.5), "decay factor"),
                        (dict(activation="foo"), "activation"),
-                       (dict(seed=-1), "seed")):
+                       (dict(seed=-1), "seed"),
+                       (dict(batch_size=0), "^batch size must be >= 1$"),
+                       (dict(total_steps=0), "^need at least one step$"),
+                       (dict(eval_interval=0), "^eval interval must be >= 1$")):
         with pytest.raises(ValueError, match=match):
             TrainConfig(**bad)
     # the final dictionary's coherence needs two atoms
@@ -285,6 +288,9 @@ def test_train_requires_normalized_scene():
     # explicit opt-out works
     train(scene, _small_config(width_first=4, width_last=2, total_steps=2,
                                normalize="none"), verbose=False)
+    empty = Scene(np.zeros((0, 6, 2)), np.zeros((0, 6), dtype=bool))
+    with pytest.raises(ValueError, match="^empty scene$"):
+        train(empty, _small_config(width_first=4, width_last=2, normalize="none"), verbose=False)
 
 
 def test_train_resume_bit_exact():
@@ -306,6 +312,41 @@ def test_train_resume_bit_exact():
         ref = tail[rec.step]
         assert rec.mean_loss == ref.mean_loss
         assert rec.error3d == ref.error3d
+
+
+def test_train_resume_leaves_the_passed_state_as_it_was():
+    """train copies the Adam state it resumes from, as it copies the params:
+    two resumes from one TrainResult give the same bytes, and the state they
+    were given keeps its moments and its step."""
+    scene = _tiny_scene()
+    half = train(scene, _small_config(total_steps=20, eval_interval=10), verbose=False)
+    before = (half.params.flat.tobytes(), half.opt_state.moment1.tobytes(),
+              half.opt_state.moment2.tobytes(), half.opt_state.step)
+    cfg = _small_config(total_steps=40, eval_interval=10)
+    a, b = (train(scene, cfg, init=(half.params, half.opt_state, 20, half.skipped),
+                  verbose=False) for _ in range(2))
+    assert (half.params.flat.tobytes(), half.opt_state.moment1.tobytes(),
+            half.opt_state.moment2.tobytes(), half.opt_state.step) == before
+    assert a.opt_state is not half.opt_state and a.opt_state.step == b.opt_state.step == 40
+    for x, y in ((a.params.flat, b.params.flat), (a.opt_state.moment1, b.opt_state.moment1),
+                 (a.opt_state.moment2, b.opt_state.moment2)):
+        assert x.tobytes() == y.tobytes()
+    assert a.history == b.history and a.skipped == b.skipped
+
+
+PROGRESS_LINES = """\
+step      0 lr 0.003 loss 1.144115 coherence 0.5069 err3d 0.998289
+step      2 lr 0.00299984 loss 1.148762 coherence 0.5109 err3d 0.997167
+step      4 lr 0.00299968 loss 1.155055 coherence 0.5170 err3d 0.997214
+step      5 lr 0.0029996 loss 1.154870 coherence 0.5202 err3d 0.997004
+"""
+
+
+def test_train_prints_one_progress_line_per_record(capsys):
+    """verbose train prints each history record as it is taken: the step,
+    the learning rate, the mean loss, the coherence and the 3D error."""
+    train(_tiny_scene(), _small_config(), verbose=True)
+    assert capsys.readouterr().out == PROGRESS_LINES
 
 
 def test_train_resume_without_optimizer_state_starts_from_zeros():
@@ -552,6 +593,23 @@ def test_blocked_scene_pass_equals_one_whole_pass(frames, translation, normalize
     assert valid.any()
     assert scene_error(scene, params) == normalized_3d_error(
         shapes[valid], scene.gt_shapes[valid], allow_scale=translation)
+
+
+def test_scene_error_refuses_a_scene_it_cannot_score():
+    """scene_error needs ground truth and at least one frame with a valid
+    camera: a model whose camera combiner is zero has none, and the history
+    would record its mean loss as NaN and no 3D error."""
+    scene = _tiny_scene()
+    params = init_params(_small_config(), scene.point_count)
+    with pytest.raises(ValueError, match="^scene has no ground truth$"):
+        scene_error(replace(scene, gt_shapes=None), params)
+    params.gamma[:] = 0.0
+    assert not scene_forward(scene, params)[1].any()
+    with pytest.raises(ValueError, match="^no valid frames to evaluate$"):
+        scene_error(scene, params)
+    record = train(scene, _small_config(total_steps=1), init=(params, None, 0, 0),
+                   verbose=False).history.records[0]
+    assert np.isnan(record.mean_loss) and record.error3d is None
 
 
 def test_zero_norm_ground_truth_is_named_by_its_scene_frame():
