@@ -1,9 +1,9 @@
 """Command-line pipeline: generate synthetic scenes, train, reconstruct,
 and evaluate.
 
-Every subcommand is deterministic given its flags and --seed.  Exit code is
-0 only when all requested artifacts were fully written; on failure, partial
-outputs are removed.
+Every subcommand is deterministic given its flags and --seed.  Each output is
+claimed from `main`, written to `<real path>.partial` and renamed into place
+once the command succeeds, so a failing command leaves every file as it was.
 """
 
 import argparse
@@ -76,37 +76,27 @@ def _csv_cell(value):
     return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
-def _write_csv(path, artifacts, header, rows, comments=()):
-    """Record path in artifacts, then write '# ' comment lines, the header
-    row and each row's _csv_cell cells, one line each."""
-    artifacts.append(path)
+def _write_csv(path, header, rows, comments=()):
+    """Write '# ' comment lines, a header line and one line of _csv_cell cells per row."""
     with open(path, "w") as fh:
         fh.writelines(f"# {c}\n" for c in comments)
         fh.write(header + "\n")
         fh.writelines(",".join(map(_csv_cell, row)) + "\n" for row in rows)
 
 
-def _distinct_outputs(flag_a, path_a, flag_b, path_b):
-    """Refuse a command's two outputs at one file (paths compared after realpath)."""
-    if os.path.realpath(path_a) == os.path.realpath(path_b):
-        raise ValueError(f"{flag_a} and {flag_b} name the same file {path_b!r}")
-
-
-def cmd_generate(args, artifacts):
+def cmd_generate(args, out):
     params_out = args.params_out or args.out + ".params"
-    _distinct_outputs("--out", args.out, "--params-out", params_out)
+    scene_file, params_file = out("--out", args.out), out("--params-out", params_out)
     scene, params = synth_planted(PlantedSpec(**_given_fields(args, PlantedSpec)))
-    artifacts.append(args.out)
-    save_scene(scene, args.out)
-    artifacts.append(params_out)
-    save_checkpoint(params_out, params)
+    save_scene(scene, scene_file)
+    save_checkpoint(params_file, params)
     print(f"wrote {args.out} ({scene.frame_count} frames, "
           f"{scene.point_count} points, mode={scene.mode}) and {params_out}")
     return 0
 
 
-def cmd_train(args, artifacts):
-    _distinct_outputs("--checkpoint", args.checkpoint, "--history", args.history)
+def cmd_train(args, out):
+    checkpoint, history = out("--checkpoint", args.checkpoint), out("--history", args.history)
     scene = load_scene(args.scene)
     # TrainConfig defaults < config file < explicit flags
     merged = _parse_config_file(args.config) if args.config else {}
@@ -123,19 +113,18 @@ def cmd_train(args, artifacts):
 
     result = train(scene_n, config, init=init, verbose=not args.quiet)
 
-    artifacts.append(args.checkpoint)
-    save_checkpoint(args.checkpoint, result.params, config=config,
+    save_checkpoint(checkpoint, result.params, config=config,
                     opt_state=result.opt_state, step=config.total_steps,
                     skipped=result.skipped)
 
-    _write_csv(args.history, artifacts, ",".join(f.name for f in fields(HistoryRecord)),
+    _write_csv(history, ",".join(f.name for f in fields(HistoryRecord)),
                map(astuple, result.history.records),
                [f"scene={args.scene}"] + [f"{key}={merged[key]}" for key in sorted(merged)])
     print(f"wrote {args.checkpoint} and {args.history}")
     return 0
 
 
-def cmd_reconstruct(args, artifacts):
+def cmd_reconstruct(args, out):
     # [normalization] de-normalizes a `--normalize none` model; [shapes] and [cameras] are replaced
     scene = load_scene(args.scene, ("normalization",))
     params, config, _, _, _ = load_checkpoint(args.checkpoint)
@@ -147,18 +136,16 @@ def cmd_reconstruct(args, artifacts):
     scene_n = normalize_scene(scene, normalize)
     pairs = reconstruct(scene_n, params)
 
-    out = replace(scene, gt_shapes=np.stack([S for S, _ in pairs]),
+    rec = replace(scene, gt_shapes=np.stack([S for S, _ in pairs]),
                   gt_rotations=np.stack([cam.rotation for _, cam in pairs]),
-                  gt_scales=np.array([cam.scale for _, cam in pairs]),
                   gt_translations=np.stack([cam.translation for _, cam in pairs]),
                   norm_centroids=None, norm_scales=None)
-    artifacts.append(args.out)
-    save_scene(out, args.out)
-    print(f"wrote {args.out} ({out.frame_count} frames)")
+    save_scene(rec, out("--out", args.out))
+    print(f"wrote {args.out} ({rec.frame_count} frames)")
     return 0
 
 
-def cmd_evaluate(args, artifacts):
+def cmd_evaluate(args, out):
     if not (args.estimates and args.truth
             or args.coherence and not args.estimates and not args.cumulative):
         raise ValueError("evaluate needs an estimates file and a truth file "
@@ -182,7 +169,7 @@ def cmd_evaluate(args, artifacts):
         errs = np.sort(errs)
         rows = [(0, np.count_nonzero(errs <= 0) / F)]
         rows += [(e, (i + 1) / F) for i, e in enumerate(errs)]
-        _write_csv(args.cumulative, artifacts, "threshold,fraction", rows)
+        _write_csv(out("--cumulative", args.cumulative), "threshold,fraction", rows)
         print(f"wrote {args.cumulative}")
     return 0
 
@@ -229,15 +216,28 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    artifacts = []  # paths written so far, removed if the command fails
+    claimed = {}  # real path of each output -> (the flag that named it, its temporary file)
+
+    def out(flag, path):
+        """Claim path for flag and return the temporary file to write it to."""
+        real = os.path.realpath(path)
+        if real in claimed:
+            raise ValueError(f"{claimed[real][0]} and {flag} name the same file {path!r}")
+        claimed[real] = (flag, real + ".partial")
+        return claimed[real][1]
+
     try:
-        return args.run(args, artifacts)
+        code = args.run(args, out)
+        for real, (_, partial) in claimed.items():
+            os.replace(partial, real)
+        return code
     except (ValueError, OSError, FloatingPointError, CameraRankError) as exc:
-        for path in artifacts:
-            with suppress(OSError):
-                os.remove(path)
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        for _, partial in claimed.values():
+            with suppress(OSError):
+                os.remove(partial)
 
 
 if __name__ == "__main__":

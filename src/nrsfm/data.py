@@ -84,6 +84,9 @@ class Scene:
                     raise ValueError(f"{f.name} has shape {a.shape}, expected {shape}")
         if (self.norm_centroids is None) != (self.norm_scales is None):
             raise ValueError("norm_centroids and norm_scales must be given together")
+        if self.norm_scales is not None and not np.all(self.norm_scales > 0):
+            f = np.flatnonzero(~(self.norm_scales > 0))[0]
+            raise ValueError(f"norm_scales must be positive, frame {f} has {self.norm_scales[f]}")
         for name in ("gt_scales", "gt_translations"):
             if self.gt_rotations is None and getattr(self, name) is not None:
                 raise ValueError(f"{name} needs gt_rotations")

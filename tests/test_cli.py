@@ -298,15 +298,46 @@ def test_train_may_write_the_checkpoint_it_resumes_from(tmp_path):
         assert a.read() == b.read()
 
 
-def test_failed_command_removes_the_outputs_it_wrote(tmp_path, capsys):
-    """train writes the checkpoint, then fails to open a history in a missing
-    directory: it exits 1 and removes the checkpoint it wrote."""
+def test_failed_command_leaves_every_file_as_it_was(tmp_path, capsys):
+    """A command writes its outputs beside their paths and they are renamed
+    into place only when all are written.  train writes the checkpoint, then
+    fails to open a history in a missing directory: it exits 1, writes no
+    checkpoint, and a checkpoint it resumed from and was to replace keeps its
+    bytes.  generate failing on its params file keeps a scene file that was
+    already there.  No temporary file is left."""
     scene = _make_scene(tmp_path)
     ck, h = str(tmp_path / "f.ck"), str(tmp_path / "nodir" / "h.csv")
     capsys.readouterr()
     assert _run(["train", scene, "--checkpoint", ck, "--history", h] + _TRAIN_FLAGS) == 1
     assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory:")
     assert not os.path.exists(ck)
+    resume, scene_out = tmp_path / "r.ck", tmp_path / "o.txt"
+    assert _run(["train", scene, "--checkpoint", str(resume), "--history", str(tmp_path / "r.csv")]
+                + _TRAIN_FLAGS) == 0
+    kept = resume.read_bytes()
+    assert _run(["train", scene, "--resume", str(resume), "--checkpoint", str(resume),
+                 "--history", h] + _TRAIN_FLAGS + ["--total-steps", "80"]) == 1
+    assert resume.read_bytes() == kept
+    scene_out.write_text("keep\n")
+    assert _run(["generate", "--points", "8", "--frames", "4", "--width-first", "6",
+                 "--width-last", "3", "--out", str(scene_out),
+                 "--params-out", str(tmp_path / "nodir" / "p")]) == 1
+    assert scene_out.read_text() == "keep\n"
+    assert sorted(os.listdir(tmp_path)) == ["o.txt", "r.ck", "r.csv", "scene.txt",
+                                            "scene.txt.params"]
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path):
+    """An output named through a symlink is written at the link's target,
+    which may not exist yet, and the link stays a link."""
+    (tmp_path / "d").mkdir()
+    link = tmp_path / "link.txt"
+    os.symlink(os.path.join("d", "real.txt"), link)
+    assert _run(["generate", "--points", "8", "--frames", "4", "--width-first", "6",
+                 "--width-last", "3", "--out", str(link)]) == 0
+    assert os.path.islink(link)
+    assert os.listdir(tmp_path / "d") == ["real.txt"]
+    assert load_scene(str(tmp_path / "d" / "real.txt")).frame_count == 4
 
 
 def test_train_history_without_ground_truth(tmp_path, capsys):

@@ -613,6 +613,32 @@ def test_scene_checks_every_array():
     assert scene.gt_scales.dtype == scene.gt_translations.dtype == float
 
 
+def test_scene_refuses_non_positive_normalization_scales(tmp_path):
+    """A normalization scale multiplies the shapes and translations read back
+    from the model, so one that is zero, negative or NaN is refused, naming
+    the field and the first bad frame, whether the scene is built, derived
+    or loaded from a file whose scales were negated."""
+    F, P = 6, 4
+    W, vis, centroids = np.ones((F, P, 2)), np.ones((F, P), bool), np.zeros((F, 2))
+    for bad in (-1.0, 0.0, np.nan):
+        scales = np.ones(F)
+        scales[[2, 4]] = bad
+        message = f"^norm_scales must be positive, frame 2 has {bad}$"
+        with pytest.raises(ValueError, match=message):
+            Scene(W, vis, norm_centroids=centroids, norm_scales=scales)
+        with pytest.raises(ValueError, match=message):
+            replace(Scene(W, vis, norm_centroids=centroids, norm_scales=np.ones(F)),
+                    norm_scales=scales)
+    scene, _ = synth_planted(PlantedSpec(points=5, frames=3, width_first=4, width_last=2,
+                                         sparsity=1, seed=2))
+    path = tmp_path / "negated.txt"
+    save_scene(normalize_scene(scene, "bbox"), path)
+    head, records = path.read_text().split("frame,cx,cy,scale\n")
+    path.write_text(head + "frame,cx,cy,scale\n" + re.sub(r"^(.*),", r"\1,-", records, flags=re.M))
+    with pytest.raises(ValueError, match="^norm_scales must be positive, frame 0 has -"):
+        load_scene(path)
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     config = TrainConfig(width_first=6, width_last=3, total_steps=5)
     params = init_params(config, 7)

@@ -29,10 +29,14 @@ path:
   are covered.
 
 Every file a pipeline writes and every command's exit code, stdout and
-stderr are compared byte for byte.  The tool prints one `same` or `DIFFERS`
-line per item, then each side's line count of src/nrsfm/*.py, and exits 1
-if any item differs; any other command (all but the reconstructs that may
-fail) that fails on either side stops it with exit 2.
+stderr are compared byte for byte.  After each pipeline one more item lists
+the `*.partial` files (a command's temporary outputs) left in its output
+directory; it is `same` only when both sides list none, so a command that
+fails, such as a reconstruct that may, must not leave one behind.  The tool
+prints one `same` or `DIFFERS` line per item, then each side's line count
+of src/nrsfm/*.py, and exits 1 if any item differs; any other command (all
+but the reconstructs that may fail) that fails on either side stops it with
+exit 2.
 """
 
 import argparse
@@ -48,6 +52,7 @@ from bench_pairs import ROOT, SIDES, checkout
 WIDTHS = ["--width-first", "32", "--width-last", "8"]
 SCENE = ["--points", "31", *WIDTHS]
 RUN = ["--checkpoint", "{out}/model.ckpt", "--history", "{out}/history.csv", "--quiet"]
+LEFTOVER = " *.partial files"   # item name suffix: temporary outputs left behind
 RECONSTRUCT = ["nrsfm", "reconstruct", "{out}/scene.txt", "{out}/model.ckpt",
                "--out", "{out}/rec.txt"]
 
@@ -112,6 +117,8 @@ def run_side(side, path, tmp):
         for file in sorted(os.listdir(out)):
             with open(os.path.join(out, file), "rb") as fh:
                 items[f"{pipeline}/{file}"] = fh.read()
+        items[pipeline + LEFTOVER] = " ".join(
+            file for file in sorted(os.listdir(out)) if file.endswith(".partial")).encode()
         shutil.rmtree(out)
     return items
 
@@ -144,7 +151,8 @@ def main():
     differ = 0
     for name in sorted(items["base"].keys() | items["change"].keys()):
         have = [items[side].get(name) for side in SIDES]
-        same = None not in have and have[0] == have[1]
+        same = (None not in have and have[0] == have[1]
+                and not (name.endswith(LEFTOVER) and have[0]))
         missing = [side for side, v in zip(SIDES, have) if v is None]
         print(f"{'same' if same else 'DIFFERS':8}{name}"
               + (f" (missing on {missing[0]})" if missing else ""))
