@@ -190,7 +190,8 @@ def test_train_config_file_and_flag_precedence(tmp_path):
 def test_train_config_history_is_pinned(tmp_path, monkeypatch):
     """A run from a config file and one overriding flag writes the scene and
     the merged settings as sorted '# key=value' lines before the header row;
-    the whole history keeps its bytes."""
+    the whole history keeps its bytes (re-pinned when the cameras' polar
+    factor became closed-form)."""
     monkeypatch.chdir(tmp_path)
     _make_scene(tmp_path)
     with open("cfg.txt", "w") as fh:
@@ -204,7 +205,7 @@ def test_train_config_history_is_pinned(tmp_path, monkeypatch):
         "# seed=2", "# total_steps=40", "# width_first=6", "# width_last=3",
         ",".join(f.name for f in fields(HistoryRecord))]
     assert hashlib.sha256(data).hexdigest() == (
-        "0bdfd08133d6e28de965dc5d7cd3f211527a365aac40bb4a5f2f1586317f66e8")
+        "8bff92b2332b01256487ce240f374a724995ce96264661732d4b7fa3e57fb1cd")
 
 
 def test_train_zero_decay_steps_fails_cleanly(tmp_path, capsys):
@@ -338,6 +339,43 @@ def test_output_through_a_symlink_writes_its_target(tmp_path):
     assert os.path.islink(link)
     assert os.listdir(tmp_path / "d") == ["real.txt"]
     assert load_scene(str(tmp_path / "d" / "real.txt")).frame_count == 4
+
+
+@pytest.mark.parametrize("out, params_out, message", [
+    ("x.partial", "x", "--out names the temporary file of --params-out 'x'"),
+    ("x", "x.partial", "--params-out names 'x.partial', the temporary file of --out"),
+], ids=["out-first", "params-out-first"])
+def test_output_at_another_outputs_temporary_file_is_refused(
+        tmp_path, capsys, monkeypatch, out, params_out, message):
+    """An output may not name another output's temporary file: the command
+    exits 1 before it generates anything, and writes nothing.  Before,
+    `generate --out x.partial --params-out x` exited 0 with the scene at x
+    and no x.partial."""
+    monkeypatch.chdir(tmp_path)
+    assert _run(["generate", "--points", "8", "--frames", "4", "--width-first", "6",
+                 "--width-last", "3", "--out", out, "--params-out", params_out]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert os.listdir() == []
+
+
+def test_input_at_an_outputs_temporary_file_is_refused(tmp_path, capsys):
+    """An input may not be an output's temporary file: `train --resume
+    ck.partial --checkpoint ck` exits 1 before it reads the scene, and
+    ck.partial keeps its bytes.  Before, it exited 0 and ck.partial was
+    overwritten and renamed onto ck."""
+    scene = _make_scene(tmp_path)
+    ck = str(tmp_path / "ck")
+    assert _run(["train", scene, "--checkpoint", ck + ".partial", "--history",
+                 str(tmp_path / "h.csv")] + _TRAIN_FLAGS) == 0
+    kept = (tmp_path / "ck.partial").read_bytes()
+    capsys.readouterr()
+    assert _run(["train", scene, "--resume", ck + ".partial", "--checkpoint", ck,
+                 "--history", str(tmp_path / "r.csv")] + _TRAIN_FLAGS) == 1
+    assert capsys.readouterr().err == (
+        f"error: input {ck + '.partial'!r} is the temporary file of --checkpoint\n")
+    assert (tmp_path / "ck.partial").read_bytes() == kept
+    assert not os.path.exists(ck)
+    assert not os.path.exists(tmp_path / "r.csv")
 
 
 def test_train_history_without_ground_truth(tmp_path, capsys):
@@ -548,13 +586,13 @@ def test_bad_checkpoint_manifest_fails_cleanly(tmp_path, capsys):
 
 @pytest.mark.parametrize("generate, digests", [
     pytest.param(["--seed", "5"], {
-        "rec.txt": "9b6dba605d238dff5937d5b5ff34dae615f1182d8ab6a9ce28f71b4cc6ce011b",
-        "cum.csv": "1d38d935570c907770d04cf07a383de00b1c0dcd1e70841987fbc0de1308f6e3",
+        "rec.txt": "8be3008c8ed1c030033376dddc69707e3b1ed5e3a590cc6060f9ac2a3d8196a0",
+        "cum.csv": "791b44aa35e8421b37416cc1810ef31f14ef416cf179ba4c412dc801d188f87f",
         "stdout": "4fdac801372a30bc4e211c340bf1676665d335888cde1bb8aee9993cf210819b"},
         id="orthogonal"),
     pytest.param(["--mode", "weak_perspective", "--max-missing", "2", "--seed", "6"], {
-        "rec.txt": "7be654315132f8b4a16b7003d893f351d4b94a1fe7b6ae908794cd067453d9b7",
-        "cum.csv": "8372065d8787860ffdd683bd94b2c03fea366c2e98df785609dceafba1b5306a",
+        "rec.txt": "c38204af6bc72fdf74a02507913ead164cb2fe9f081f347bf06eecd6e4783c2d",
+        "cum.csv": "6d926e0dd8cfe597d463c43199293891694518516441dcc43561c055792a29b0",
         "stdout": "086f61ba5c06444ba586a4079aa47d86cb0f5df20dc96b03af39fea3813126c5"},
         id="weak-perspective-missing"),
 ])
@@ -563,7 +601,8 @@ def test_reconstruct_and_evaluate_bytes_are_pinned(tmp_path, capsys, monkeypatch
     """`reconstruct` and `evaluate --cumulative --coherence` keep the bytes
     they wrote when every command still parsed every section of its scenes:
     rec.txt, the cumulative CSV and the two commands' stdout, which names
-    only relative paths."""
+    only relative paths (re-pinned when the cameras' polar factor became
+    closed-form)."""
     monkeypatch.chdir(tmp_path)
     assert _run(["generate", "--points", "8", "--frames", "16", "--width-first", "6",
                  "--width-last", "3", "--sparsity", "1", "--out", "scene.txt"] + generate) == 0
@@ -584,7 +623,8 @@ def test_pipeline_bytes_across_a_block_boundary_are_pinned(tmp_path, capsys, mon
     """At F=600 every pass over the scene runs a 256-frame block and a
     344-frame block: the history, rec.txt, the cumulative CSV and the
     reconstruct and evaluate stdout keep the bytes they had when each pass
-    ran all frames in one forward call."""
+    ran all frames in one forward call (re-pinned when the cameras' polar
+    factor became closed-form)."""
     monkeypatch.chdir(tmp_path)
     assert _run(["generate", "--points", "8", "--frames", "600", "--width-first", "6",
                  "--width-last", "3", "--sparsity", "1", "--mode", "weak_perspective",
@@ -600,9 +640,9 @@ def test_pipeline_bytes_across_a_block_boundary_are_pinned(tmp_path, capsys, mon
     outputs = {name: open(name, "rb").read() for name in ("h.csv", "rec.txt", "cum.csv")}
     outputs["stdout"] = capsys.readouterr().out.encode()
     assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == {
-        "h.csv": "cbbf2df958c16148b29327180b28e7b928721f24cb3c73b34f5a1798af4c6c7d",
-        "rec.txt": "7a85cb213f493a45f9312ab6560ee8b00e778725152f9891c7bf5d0280632d0e",
-        "cum.csv": "a667d96fc61a5db8f7cb6d036dacc55f9162c79d5b231536f44784d3d08c472a",
+        "h.csv": "039ecacad95498f8598e9f7e5f586eb6ad1f8c6f08c74a7d0a22c7b7d55eefc3",
+        "rec.txt": "09d52b4ad3c3724179505b3d89d49f92fb21e8a43441617f7bdc7f9319b2075d",
+        "cum.csv": "1db16dc4ef6b065f18f488dd1580c3ce8da3fd6cd61d469def1a66a61df032c8",
         "stdout": "302cf3fbc665ceb1f4df397561dadd00f98576104a87134329337e445d6b592a"}
 
 
@@ -610,7 +650,8 @@ def test_reconstruct_denormalizes_through_the_scene_file(tmp_path, capsys, monke
     """A scene file that carries [normalization], reconstructed with a
     checkpoint trained with --normalize none, is mapped back through the
     file's records: the output keeps the bytes it had when `reconstruct`
-    parsed every section."""
+    parsed every section (re-pinned when the cameras' polar factor became
+    closed-form)."""
     monkeypatch.chdir(tmp_path)
     assert _run(["generate", "--points", "8", "--frames", "16", "--width-first", "6",
                  "--width-last", "3", "--sparsity", "1", "--mode", "weak_perspective",
@@ -622,7 +663,7 @@ def test_reconstruct_denormalizes_through_the_scene_file(tmp_path, capsys, monke
                  "--normalize", "none", "--seed", "2", "--quiet"]) == 0
     assert _run(["reconstruct", "scene.txt", "model.ckpt", "--out", "rec.txt"]) == 0
     assert hashlib.sha256(open("rec.txt", "rb").read()).hexdigest() == (
-        "e2e081b0771d811fcce7a7293052f2f0f187602fb22c2a1ddbea2389bd4c4243")
+        "7c81635c971944428c72815fc565ba00e7c367d49e231c2172986ba76d68197e")
 
 
 def _edit_record(src, dst, section, row, field, value):

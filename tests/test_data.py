@@ -811,7 +811,8 @@ def test_training_bytes_are_pinned(tmp_path):
     of runs resumed from them keep the bytes they had before the parameters
     and moments moved into flat vectors (soft/translation) and before the
     backward pass read its threshold masks from the stored layer outputs
-    (relu/orthogonal)."""
+    (relu/orthogonal); re-pinned when the cameras' polar factor became
+    closed-form."""
     cases = {
         "soft": (PlantedSpec(points=6, frames=12, layers=3, width_first=5, width_last=2,
                              sparsity=1, camera_mode="weak_perspective", noise_ratio=0.05,
@@ -838,10 +839,10 @@ def test_training_bytes_are_pinned(tmp_path):
             name = f"{case}-{stage}.ckpt"
             digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digests == {
-        "soft-half.ckpt": "b3de4587f483f4e93c97449948416e9ba08f63da36f2513cca581a2552dbfac8",
-        "soft-resumed.ckpt": "c754c45ac992ee1df40131801df07d46265dfed7f706fa79dfec59ab348bffd1",
-        "relu-half.ckpt": "a63a4dfedfe703fa6e412514e10d9c6a49160c038dec93a0407eb05c8f0967e2",
-        "relu-resumed.ckpt": "e8264a4a37d2ed0a53b35070eb6410cea760eaaedadb6e7e7764e09dc0ddb97a",
+        "soft-half.ckpt": "21fc7d4b6c9246901c0580796800c3cd13beb27c005d809ee6aaf630e3d72f8d",
+        "soft-resumed.ckpt": "d0dce2932c793efb55ebda49ec8a84136a7412942b0d1b74cc634a649230b883",
+        "relu-half.ckpt": "580747095016b0f17789bd59f126fb5b4f5ad249cc480a41bca4cc0f8a3129a2",
+        "relu-resumed.ckpt": "61dc8c11814f0c542c50aebc7869a0ba652ba8b6b7113d56622fdd31ec98fc19",
     }
 
 

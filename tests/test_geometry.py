@@ -1,12 +1,13 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from nrsfm.geometry import (ERROR_BLOCK, CameraWeak, align_shapes, frame_3d_errors,
-                            mutual_coherence, noise_perturb, normalize_bbox,
-                            normalized_3d_error, orthonormalize_camera,
-                            project, random_camera, random_rotation)
+from nrsfm.geometry import (ERROR_BLOCK, POLAR_CUTOFF, RANK_EPS, CameraWeak, align_shapes,
+                            frame_3d_errors, mutual_coherence, noise_perturb,
+                            normalize_bbox, normalized_3d_error, orthonormalize_camera,
+                            polar_factor, project, random_camera, random_rotation)
 
 
 def test_project_orthogonal_basic():
@@ -181,6 +182,152 @@ def test_orthonormalize_nearest_point():
     for _ in range(1000):
         Q, _ = orthonormalize_camera(rng.standard_normal((3, 2)))
         assert d0 <= np.linalg.norm(Q - Mraw) + 1e-12
+
+
+def _lapack_polar(M):
+    """The oracle: (Q, U, s, Vt, full_rank) from LAPACK's thin SVD."""
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    return U @ Vt, U, s, Vt, s[..., -1] > RANK_EPS
+
+
+def _cameras(rng, sigmas):
+    """3x2 matrices U diag(sigma1, sigma2) V^T with random column-orthonormal
+    U and orthogonal V (rotations and reflections), one per row of sigmas."""
+    U = np.linalg.qr(rng.standard_normal((len(sigmas), 3, 2)))[0]
+    V = np.linalg.qr(rng.standard_normal((len(sigmas), 2, 2)))[0]
+    return (U * sigmas[:, None, :]) @ np.swapaxes(V, 1, 2)
+
+
+def _sweep(rng, per_ratio=200):
+    """Cameras over sigma2 / sigma1 from 1e-7 to 1 (across POLAR_CUTOFF),
+    at 1 - 1e-k (near-equal), and scaled by 1e-8 to 1e3 (scaled down)."""
+    ratios = np.concatenate([np.logspace(-7, 0, 36), 1 - np.logspace(-16, -2, 8), [1.0]])
+    sigma1 = 10.0 ** rng.uniform(-8, 3, (len(ratios), per_ratio))
+    sigmas = np.stack([sigma1, sigma1 * ratios[:, None]], axis=-1).reshape(-1, 2)
+    return _cameras(rng, sigmas), np.repeat(ratios, per_ratio)
+
+
+def test_polar_factor_closed_form_agrees_with_lapack():
+    """Q agrees with LAPACK's U @ Vt to 1e-13, or to 1e-14 sigma1 / sigma2
+    where that is larger (sigma2 / sigma1 < 0.1: the size of LAPACK's own
+    error there), and s to 1e-13 sigma1; full_rank is LAPACK's everywhere,
+    and frames below POLAR_CUTOFF are LAPACK's bits.  The factors are an
+    SVD of M: U orthonormal to the same tolerance as Q, V to 1e-14."""
+    M, ratios = _sweep(np.random.default_rng(0))
+    Q, U, s, Vt, full_rank = polar_factor(M)
+    ref = _lapack_polar(M)
+    tol = np.maximum(1e-13, 1e-14 / ratios)
+    assert np.all(np.abs(Q - ref[0]).max(axis=(1, 2)) <= tol)
+    assert np.all(np.abs(s - ref[2]) <= 1e-13 * ref[2][:, :1])
+    assert np.array_equal(full_rank, ref[4])
+    eye = np.eye(2)
+    assert np.all(np.abs(np.swapaxes(U, 1, 2) @ U - eye).max(axis=(1, 2)) <= tol)
+    assert np.abs(Vt @ np.swapaxes(Vt, 1, 2) - eye).max() <= 1e-14
+    assert np.all(np.abs((U * s[:, None, :]) @ Vt - M) <= 1e-14 * s[:, :1, None])
+    assert np.abs(Q - U @ Vt).max() <= 1e-15
+    below = ratios < POLAR_CUTOFF
+    for got, want in zip((Q, U, s, Vt), ref):
+        assert np.array_equal(got[below], want[below])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs 80-bit long double")
+def test_polar_factor_closed_form_is_as_accurate_as_lapack():
+    """Against the exact polar factor of each float matrix, M (M^T M)^(-1/2)
+    in 80-bit arithmetic, the closed form's Q errs no more than twice
+    LAPACK's worst error at each ratio, from 1e-8 to 1."""
+    rng = np.random.default_rng(1)
+    for ratio in np.logspace(-8, 0, 9):
+        M = _cameras(rng, np.tile([1.0, ratio], (300, 1)))
+        L = M.astype(np.longdouble)
+        A = np.swapaxes(L, 1, 2) @ L
+        a, b, c = A[:, 0, 0], A[:, 0, 1], A[:, 1, 1]
+        x, y = L[:, :, 0], L[:, :, 1]
+        cross = x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y
+        delta = np.sqrt((cross * cross).sum(axis=1))   # sqrt(det A)
+        root = np.sqrt(a + c + 2 * delta)               # trace of A^(1/2)
+        inv_sqrt = np.stack([c + delta, -b, -b, a + delta], axis=1).reshape(-1, 2, 2)
+        exact = L @ (inv_sqrt / (root * delta)[:, None, None])
+        ours = np.abs(polar_factor(M)[0] - exact).max()
+        theirs = np.abs(_lapack_polar(M)[0] - exact).max()
+        assert ours <= 2 * theirs + 1e-16, ratio
+
+
+def test_polar_factor_degenerate_frames_are_lapacks():
+    """Zero, rank-1, rank-deficient and ill-conditioned frames, in a batch
+    of good ones, get LAPACK's (Q, U, s, Vt) bit for bit and its full_rank;
+    a NaN frame raises LAPACK's error, and an infinite one gets LAPACK's
+    result; none of it warns."""
+    rng = np.random.default_rng(2)
+    M = _cameras(rng, np.tile([1.0, 0.5], (12, 1)))
+    col = rng.standard_normal(3)
+    M[1] = 0.0
+    M[3] = np.stack([col, 0.3 * col], axis=1)           # rank 1, rounded
+    M[5] = np.stack([col, 2.0 * col], axis=1)           # rank 1, exactly
+    M[7] = _cameras(rng, np.array([[2.0, 0.5 * RANK_EPS]]))[0]
+    M[9] = _cameras(rng, np.array([[1.0, 0.5 * POLAR_CUTOFF]]))[0]
+    M[11] = _cameras(rng, np.array([[1.5 * RANK_EPS, 1.5 * RANK_EPS]]))[0]   # full rank, small
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = polar_factor(M), _lapack_polar(M)
+        for i in (1, 3, 5, 7, 9, 11):
+            for g, w in zip(got, want):
+                assert np.array_equal(g[i], w[i]), i
+        assert np.array_equal(got[4], want[4])
+        assert not got[4][[1, 3, 5, 7]].any()
+        M[6, 0, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError) as ours:
+            polar_factor(M)
+        with pytest.raises(np.linalg.LinAlgError) as lapacks:
+            _lapack_polar(M)
+        assert str(ours.value) == str(lapacks.value)
+        M[6, 0, 1] = np.inf
+        try:
+            want = _lapack_polar(M)
+        except np.linalg.LinAlgError as exc:
+            with pytest.raises(np.linalg.LinAlgError, match=str(exc)):
+                polar_factor(M)
+        else:
+            for g, w in zip(polar_factor(M), want):
+                assert np.array_equal(g[6], w[6], equal_nan=True)
+
+
+def test_polar_factor_calls_lapack_for_the_frames_below_the_cutoff_only(monkeypatch):
+    """A batch of well-conditioned 3x2 matrices makes no LAPACK call; one
+    with a zero frame makes one, on that frame; a 3x3 batch still takes
+    LAPACK's SVD."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(M, **kw):
+        calls.append(M.shape)
+        return svd(M, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    M = _cameras(np.random.default_rng(4), np.tile([1.0, 0.5], (64, 1)))
+    polar_factor(M)
+    assert calls == []
+    M[9] = 0.0
+    polar_factor(M)
+    assert calls == [(1, 3, 2)]
+    polar_factor(np.eye(3)[None])
+    assert calls[1:] == [(1, 3, 3)]
+
+
+def test_polar_factor_batch_matches_single_frames():
+    """Each frame's (Q, U, s, Vt, full_rank) is the same bits in a batch, as
+    a single (3, 2) matrix and through strided views: the model's 4-row
+    bottleneck layout, and columns stored contiguously."""
+    rng = np.random.default_rng(3)
+    M, _ = _sweep(rng, per_ratio=3)
+    M[::17] = 0.0
+    batch = polar_factor(M)
+    strided = np.zeros((4, len(M), 2))
+    strided[:3] = M.transpose(1, 0, 2)
+    columns = np.swapaxes(np.ascontiguousarray(np.swapaxes(M, 1, 2)), 1, 2)
+    for got in (polar_factor(strided.transpose(1, 0, 2)[:, :3]), polar_factor(columns),
+                [np.stack(parts) for parts in zip(*map(polar_factor, M))]):
+        for g, b in zip(got, batch):
+            assert np.array_equal(g, b)
 
 
 def test_align_shapes_identity_and_mirror():
