@@ -2,13 +2,14 @@
 and evaluate.
 
 Every subcommand is deterministic given its flags and --seed.  Each output is
-claimed from `main`, written to `<real path>.partial` and renamed into place
-once the command succeeds, so a failing command leaves every file as it was.
+claimed from `main`, written to a new temporary file beside it and renamed
+into place once the command succeeds, so a failing command leaves every file as it was.
 """
 
 import argparse
 import os
 import sys
+import tempfile
 from contextlib import suppress
 from dataclasses import astuple, fields, replace
 
@@ -96,9 +97,7 @@ def cmd_generate(args, out):
 
 
 def cmd_train(args, out):
-    inputs = (args.scene, args.resume, args.config)
-    checkpoint = out("--checkpoint", args.checkpoint, inputs)
-    history = out("--history", args.history, inputs)
+    checkpoint, history = out("--checkpoint", args.checkpoint), out("--history", args.history)
     scene = load_scene(args.scene)
     # TrainConfig defaults < config file < explicit flags
     merged = _parse_config_file(args.config) if args.config else {}
@@ -127,7 +126,6 @@ def cmd_train(args, out):
 
 
 def cmd_reconstruct(args, out):
-    rec_file = out("--out", args.out, (args.scene, args.checkpoint))
     # [normalization] de-normalizes a `--normalize none` model; [shapes] and [cameras] are replaced
     scene = load_scene(args.scene, ("normalization",))
     params, config, _, _, _ = load_checkpoint(args.checkpoint)
@@ -143,7 +141,7 @@ def cmd_reconstruct(args, out):
                   gt_rotations=np.stack([cam.rotation for _, cam in pairs]),
                   gt_translations=np.stack([cam.translation for _, cam in pairs]),
                   norm_centroids=None, norm_scales=None)
-    save_scene(rec, rec_file)
+    save_scene(rec, out("--out", args.out))
     print(f"wrote {args.out} ({rec.frame_count} frames)")
     return 0
 
@@ -153,8 +151,6 @@ def cmd_evaluate(args, out):
             or args.coherence and not args.estimates and not args.cumulative):
         raise ValueError("evaluate needs an estimates file and a truth file "
                          "(or --coherence alone)")
-    cumulative = args.cumulative and out("--cumulative", args.cumulative,
-                                         (args.estimates, args.truth, args.coherence))
     if args.coherence:
         params, _, _, _, _ = load_checkpoint(args.coherence)
         print(f"coherence {mutual_coherence(last_dictionary_atoms(params)):.6f}")
@@ -174,7 +170,7 @@ def cmd_evaluate(args, out):
         errs = np.sort(errs)
         rows = [(0, np.count_nonzero(errs <= 0) / F)]
         rows += [(e, (i + 1) / F) for i, e in enumerate(errs)]
-        _write_csv(cumulative, "threshold,fraction", rows)
+        _write_csv(out("--cumulative", args.cumulative), "threshold,fraction", rows)
         print(f"wrote {args.cumulative}")
     return 0
 
@@ -222,24 +218,20 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     claimed = {}  # real path of each output -> (the flag that named it, its temporary file)
+    umask = os.umask(0)
+    os.umask(umask)
 
-    def out(flag, path, inputs=()):
-        """Claim path for flag and return the temporary file to write it to;
-        refuse a file, or a temporary file, that another output claimed, and
-        a temporary file that is one of the command's inputs."""
+    def out(flag, path):
+        """Claim path for flag and return a new temporary file beside it to
+        write it to; refuse a file that another output claimed."""
         real = os.path.realpath(path)
-        partial = real + ".partial"
-        for given in filter(None, inputs):
-            if os.path.realpath(given) == partial:
-                raise ValueError(f"input {given!r} is the temporary file of {flag}")
-        for other_real, (other, other_partial) in claimed.items():
-            if real == other_real:
-                raise ValueError(f"{other} and {flag} name the same file {path!r}")
-            if real == other_partial:
-                raise ValueError(f"{flag} names {path!r}, the temporary file of {other}")
-            if partial == other_real:
-                raise ValueError(f"{other} names the temporary file of {flag} {path!r}")
+        if real in claimed:
+            raise ValueError(f"{claimed[real][0]} and {flag} name the same file {path!r}")
+        fd, partial = tempfile.mkstemp(".partial", os.path.basename(real) + ".",
+                                       os.path.dirname(real))
         claimed[real] = (flag, partial)
+        os.fchmod(fd, 0o666 & ~umask)   # mkstemp's mode is 0600
+        os.close(fd)
         return partial
 
     try:

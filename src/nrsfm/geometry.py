@@ -12,6 +12,7 @@ RANK_EPS = 1e-10
 # only keeps frames near rank 1 on LAPACK's bits.
 POLAR_CUTOFF = 1e-4
 _VT_ROWS = np.array([1, 1j])    # V^T's rows as complex numbers: e and i e
+_NEXT_ROW = np.array([1, 2, 0])  # row i + 1 (mod 3), for the cross product
 
 CAMERA_MODES = ("orthogonal", "weak_perspective")
 ERROR_BLOCK = 256   # frames aligned at a time by frame_3d_errors
@@ -174,7 +175,7 @@ def polar_factor(M):
         wc = w.conj()
         z = np.vecdot(wc, w)            # vecdot conjugates its first argument
         trace = np.vecdot(w, w).real
-        cross = (wc * w[:, [1, 2, 0]]).imag     # Im(conj(w_i) w_i+1): m0 x m1, rotated
+        cross = (wc * w[:, _NEXT_ROW]).imag     # Im(conj(w_i) w_i+1): m0 x m1, rotated
         s = np.empty((B, 2))
         s1, s2 = s.T
         np.sqrt(0.5 * (trace + np.abs(z)), out=s1)

@@ -341,41 +341,46 @@ def test_output_through_a_symlink_writes_its_target(tmp_path):
     assert load_scene(str(tmp_path / "d" / "real.txt")).frame_count == 4
 
 
-@pytest.mark.parametrize("out, params_out, message", [
-    ("x.partial", "x", "--out names the temporary file of --params-out 'x'"),
-    ("x", "x.partial", "--params-out names 'x.partial', the temporary file of --out"),
-], ids=["out-first", "params-out-first"])
-def test_output_at_another_outputs_temporary_file_is_refused(
-        tmp_path, capsys, monkeypatch, out, params_out, message):
-    """An output may not name another output's temporary file: the command
-    exits 1 before it generates anything, and writes nothing.  Before,
-    `generate --out x.partial --params-out x` exited 0 with the scene at x
-    and no x.partial."""
+def test_outputs_named_like_temporary_files(tmp_path, monkeypatch):
+    """Each output's temporary file is a new file beside it, so an output or
+    an input named like one is an ordinary file.  `generate --out x.partial
+    --params-out x` writes the scene to x.partial and the parameters to x
+    (at a fixed `<path>.partial` name the scene was renamed onto x and the
+    parameters were lost), and `train --resume ck.partial --checkpoint ck`
+    keeps ck.partial and writes ck as a resume from ck.partial (the resume
+    file was overwritten and renamed onto ck)."""
     monkeypatch.chdir(tmp_path)
     assert _run(["generate", "--points", "8", "--frames", "4", "--width-first", "6",
-                 "--width-last", "3", "--out", out, "--params-out", params_out]) == 1
-    assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert os.listdir() == []
-
-
-def test_input_at_an_outputs_temporary_file_is_refused(tmp_path, capsys):
-    """An input may not be an output's temporary file: `train --resume
-    ck.partial --checkpoint ck` exits 1 before it reads the scene, and
-    ck.partial keeps its bytes.  Before, it exited 0 and ck.partial was
-    overwritten and renamed onto ck."""
+                 "--width-last", "3", "--out", "x.partial", "--params-out", "x"]) == 0
+    assert sorted(os.listdir()) == ["x", "x.partial"]
+    assert load_scene("x.partial").frame_count == 4
+    assert load_checkpoint("x")[0].point_count == 8
     scene = _make_scene(tmp_path)
-    ck = str(tmp_path / "ck")
-    assert _run(["train", scene, "--checkpoint", ck + ".partial", "--history",
-                 str(tmp_path / "h.csv")] + _TRAIN_FLAGS) == 0
+    assert _run(["train", scene, "--checkpoint", "ck.partial", "--history", "h.csv"]
+                + _TRAIN_FLAGS) == 0
     kept = (tmp_path / "ck.partial").read_bytes()
-    capsys.readouterr()
-    assert _run(["train", scene, "--resume", ck + ".partial", "--checkpoint", ck,
-                 "--history", str(tmp_path / "r.csv")] + _TRAIN_FLAGS) == 1
-    assert capsys.readouterr().err == (
-        f"error: input {ck + '.partial'!r} is the temporary file of --checkpoint\n")
+    assert _run(["train", scene, "--resume", "ck.partial", "--checkpoint", "ck",
+                 "--history", "r.csv"] + _TRAIN_FLAGS + ["--total-steps", "80"]) == 0
+    assert _run(["train", scene, "--resume", "ck.partial", "--checkpoint", "ref.ck",
+                 "--history", "ref.csv"] + _TRAIN_FLAGS + ["--total-steps", "80"]) == 0
     assert (tmp_path / "ck.partial").read_bytes() == kept
-    assert not os.path.exists(ck)
-    assert not os.path.exists(tmp_path / "r.csv")
+    assert (tmp_path / "ck").read_bytes() == (tmp_path / "ref.ck").read_bytes()
+    assert sorted(f for f in os.listdir() if f.endswith(".partial")) == ["ck.partial",
+                                                                         "x.partial"]
+
+
+def test_output_mode_follows_the_umask(tmp_path, monkeypatch):
+    """A written output gets the mode an open() would give it under the
+    umask, not the temporary file's private 0600."""
+    monkeypatch.chdir(tmp_path)
+    old = os.umask(0o027)
+    try:
+        assert _run(["generate", "--points", "8", "--frames", "4", "--width-first", "6",
+                     "--width-last", "3", "--out", "s.txt"]) == 0
+    finally:
+        os.umask(old)
+    assert {f: os.stat(f).st_mode & 0o777 for f in os.listdir()} == {
+        "s.txt": 0o640, "s.txt.params": 0o640}
 
 
 def test_train_history_without_ground_truth(tmp_path, capsys):

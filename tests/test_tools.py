@@ -52,3 +52,31 @@ def test_seed_sweep_scenes_are_the_acceptance_scenes(monkeypatch):
     assert np.array_equal(swept.measurements, scene.measurements)
     assert np.array_equal(swept.visibility, scene.visibility)
     assert swept_config == replace(config, seed=4)
+
+
+def test_seed_sweep_passes_and_fails_as_the_criteria_do(monkeypatch):
+    """The sweep's pass or fail of criteria 5, 6 and 7 for a seed is the
+    criteria's own verdict on the same final errors, at and just past their
+    bounds, so the sweep's restated bounds cannot drift from the tests'."""
+    sweep = _load_tool("seed_sweep")
+    acceptance = sweep.load_acceptance()
+    past = lambda x: np.nextafter(x, np.inf)
+    cases = [(0.05, 0.1, 0.1), (past(0.05), 0.1, 0.1), (0.04, past(0.08), 0.08),
+             (0.04, 0.08, past(0.08)), (0.02, 0.01, 0.05), (0.3, 0.5, 0.7)]
+    assert len(cases) == len(sweep.SEEDS)
+    runs = {name: [{"error3d": errors[k], "minority_hand": 0.0} for errors in cases]
+            for k, name in enumerate(sweep.SCENES)}
+    per_seed, _ = sweep.criteria(runs)
+    for errors, verdict in zip(cases, per_seed):
+        error = dict(zip(sweep.SCENES, errors))
+        monkeypatch.setattr(acceptance, "_bench", lambda key, **kw: SimpleNamespace(
+            history=SimpleNamespace(records=[SimpleNamespace(error3d=error[key])])))
+        for k, test in ((5, "05_planted_end_to_end"), (6, "06_noise_robustness"),
+                        (7, "07_missing_data")):
+            with contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    getattr(acceptance, f"test_criterion_{test}")()
+                    passed = True
+                except AssertionError:
+                    passed = False
+            assert verdict[f"criterion_{k}"] == passed, (errors, k)

@@ -36,6 +36,7 @@ SEEDS = list(range(6))
 SCENES = {"clean": {}, "noise": {"noise": 0.10}, "missing": {"max_missing": 3}}
 SPLIT = 0.03
 CLEAN_TARGET = 0.05     # criterion 5's bound; 6 and 7 allow twice the clean error
+JOBS = 2                # runs at once, each in its own process
 
 
 def load_acceptance():
@@ -85,7 +86,7 @@ def worker(name, seed):
     return run
 
 
-def run_side(path, jobs):
+def run_side(path):
     """{scene: [run per seed]} for the checkout at path."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.path.join(path, "src"))
@@ -101,7 +102,7 @@ def run_side(path, jobs):
         return json.loads(proc.stdout)
 
     tasks = [(name, seed) for name in SCENES for seed in SEEDS]
-    with ThreadPoolExecutor(jobs) as pool:
+    with ThreadPoolExecutor(JOBS) as pool:
         runs = list(pool.map(one, tasks))
     return {name: [run for (n, _), run in zip(tasks, runs) if n == name] for name in SCENES}
 
@@ -128,7 +129,6 @@ def main():
     parser.add_argument("--base", help="checkout directory or git revision")
     parser.add_argument("--change", help="checkout directory or git revision")
     parser.add_argument("--out")
-    parser.add_argument("--jobs", type=int, default=2, help="runs at once (default 2)")
     parser.add_argument("--worker", nargs=2, metavar=("SCENE", "SEED"), help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
@@ -147,7 +147,7 @@ def main():
         for side in ("base", "change"):
             spec = getattr(args, side)
             path, tree = checkout(spec, tmp, side)
-            runs = run_side(path, args.jobs)
+            runs = run_side(path)
             per_seed, summary = criteria(runs)
             result["sides"][side] = {"spec": spec, "src_tree": tree, "summary": summary,
                                      "criteria": per_seed, "runs": runs}
