@@ -57,7 +57,8 @@ class CheckpointError(ValueError):
 @dataclass
 class Scene:
     """A dataset of 2D measurements with visibility, optional ground truth and
-    optional per-frame normalization records (both or neither), each shape-checked."""
+    optional per-frame normalization records (both or neither), each
+    shape-checked and refused if it holds a NaN or an infinity."""
 
     measurements: np.ndarray                 # (F, P, 2)
     visibility: np.ndarray                   # (F, P) bool
@@ -90,6 +91,10 @@ class Scene:
         for name in ("gt_scales", "gt_translations"):
             if self.gt_rotations is None and getattr(self, name) is not None:
                 raise ValueError(f"{name} needs gt_rotations")
+        for f in fields(self)[3:]:
+            if (a := getattr(self, f.name)) is not None and not np.isfinite(a).all():
+                bad = ~np.isfinite(a.reshape(F, -1)).all(axis=1)
+                raise ValueError(f"{f.name} has a non-finite value at frame {np.argmax(bad)}")
 
     @property
     def frame_count(self):

@@ -11,8 +11,20 @@ RANK_EPS = 1e-10
 # was as accurate as LAPACK at every ratio from 1e-10 to 1, so the cutoff
 # only keeps frames near rank 1 on LAPACK's bits.
 POLAR_CUTOFF = 1e-4
+# polar_factor_3x3's Newton iteration serves 3x3 matrices M whose condition
+# number ||M||_F ||M^-1||_F is at most this; LAPACK serves the rest.  Against
+# an 80-bit reference the iteration was as accurate as LAPACK at every
+# condition number from 1 to 1e8, so the cutoff only keeps frames near rank 2
+# on LAPACK's bits.  At every condition number tried (1 to 1e10) the 5th step
+# was within 1e-9 of the iteration's limit and the 6th within rounding (5e-16).
+NEWTON_CUTOFF = 1e4
+NEWTON_STEPS = 6
 _VT_ROWS = np.array([1, 1j])    # V^T's rows as complex numbers: e and i e
 _NEXT_ROW = np.array([1, 2, 0])  # row i + 1 (mod 3), for the cross product
+# cof(X)[i, j] = X[i+1, j+1] X[i+2, j+2] - X[i+1, j+2] X[i+2, j+1] (mod 3): the
+# entries of the four factors of each cofactor, row-major indices into X
+_COFACTOR = np.array([[3 * ((i + di) % 3) + (j + dj) % 3 for i in range(3) for j in range(3)]
+                      for di, dj in ((1, 1), (2, 2), (1, 2), (2, 1))])
 
 CAMERA_MODES = ("orthogonal", "weak_perspective")
 ERROR_BLOCK = 256   # frames aligned at a time by frame_3d_errors
@@ -143,17 +155,17 @@ def normalize_bbox(W, mask=None):
 
 
 def _svd_polar(M):
-    """polar_factor through LAPACK's thin SVD, one call per matrix."""
+    """Polar factor through LAPACK's thin SVD, one call per matrix."""
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     return U @ Vt, U, s, Vt, s[..., -1] > RANK_EPS
 
 
 def polar_factor(M):
-    """Polar factor Q = U V^T of 3x2 or 3x3 matrices (any leading batch shape)
-    from their thin SVD.  Returns (Q, U, s, Vt, full_rank), full_rank being
-    the smallest singular value > RANK_EPS per matrix.
+    """Polar factor Q = U V^T of 3x2 matrices (any leading batch shape) from
+    their thin SVD.  Returns (Q, U, s, Vt, full_rank), full_rank being the
+    smallest singular value > RANK_EPS per matrix.
 
-    3x2 matrices take a closed form.  With row i of M read as the complex
+    It takes a closed form.  With row i of M read as the complex
     number w_i = x_i + i y_i, A = M^T M has z = sum w_i^2 = (a - c) + 2ib
     and trace sum |w_i|^2, so sigma1^2 = (trace + |z|) / 2; sigma1 sigma2 is
     the norm of the cross product of M's columns, and V's rotation angle is
@@ -165,7 +177,7 @@ def polar_factor(M):
     with LAPACK's bits and errors."""
     M = np.asarray(M, dtype=float)
     if M.shape[-2:] != (3, 2):
-        return _svd_polar(M)
+        raise ValueError(f"polar_factor: expected 3x2 matrices, got {M.shape[-2:]}")
     frames = M.reshape(-1, 3, 2)
     if frames.strides[-1] != frames.itemsize:
         frames = frames.copy()
@@ -207,10 +219,75 @@ def orthonormalize_camera(Mraw):
     return Q, s
 
 
+def polar_factor_3x3(M):
+    """Orthogonal polar factor Q of 3x3 matrices (any leading batch shape):
+    the nearest orthogonal matrix, a reflection where det M < 0.
+
+    It takes NEWTON_STEPS Frobenius-scaled Newton steps (Higham 1986),
+    X <- (zeta X + X^-T / zeta) / 2 with zeta = (||X^-1||_F / ||X||_F)^(1/2),
+    on component-major (9, B) arrays, with X^-T = cof(X) / det X and row i
+    of the cofactor matrix the cross product of rows i + 1 and i + 2.  A
+    positive multiple of X has the same next step, so every step but the
+    last takes X + cof(X) / (zeta^2 det X) = X + sign(det M) (||X||_F /
+    ||cof X||_F) cof(X).  Every sum is written out three terms at a time,
+    never a numpy reduction, so that a frame's bits do not depend on the
+    batch: numpy reduces nine contiguous terms (B = 1) pairwise, but nine
+    strided ones in order.
+
+    A matrix goes to LAPACK instead, with LAPACK's bits and errors, unless
+    its kappa = ||M||_F ||M^-1||_F = ||M||_F ||cof M||_F / |det M| is at most
+    NEWTON_CUTOFF and |det M| >= ||M||_F^3 / (3 NEWTON_CUTOFF^2), which every
+    matrix with kappa at most the cutoff meets (sigma1^2 >= ||M||_F^2 / 3 and
+    sigma2, sigma3 >= sigma1 / kappa).  The second test keeps the first
+    honest: near rank 1, det M and cof M are both rounding noise, and their
+    ratio can make kappa look small.  So zero, rank-deficient, NaN and
+    overflowing matrices go to LAPACK; one with an infinite entry is
+    refused, since LAPACK's SVD does not return on it."""
+    M = np.asarray(M, dtype=float)
+    frames = M.reshape(-1, 3, 3)
+    B = len(frames)
+    XC = np.empty((2, 9, B))        # X and cof(X), entry 3 i + j in row 3 i + j
+    X, C = XC
+    X[...] = frames.reshape(B, 9).T
+    factors, sq = np.empty((4, 9, B)), np.empty((2, 9, B))
+    Q = np.empty((B, 3, 3))
+    with np.errstate(all="ignore"):     # frames that divide by zero go to LAPACK
+        for step in range(NEWTON_STEPS):
+            np.take(X, _COFACTOR, axis=0, out=factors)
+            np.multiply(factors[0], factors[1], out=C)
+            np.multiply(factors[2], factors[3], out=factors[0])
+            C -= factors[0]
+            np.multiply(XC, XC, out=sq)
+            sq3 = sq.reshape(2, 3, 3, B)
+            cols = sq3[:, 0] + sq3[:, 1] + sq3[:, 2]
+            x2, c2 = cols[:, 0] + cols[:, 1] + cols[:, 2]   # ||X||_F^2, ||cof X||_F^2
+            if step in (0, NEWTON_STEPS - 1):
+                terms = X[:3] * C[:3]
+                det = terms[0] + terms[1] + terms[2]
+            if step == 0:
+                det2 = det * det
+                kappa2 = x2 * c2 / det2     # at least 9, below 1 only if det2 overflows
+                closed = ((kappa2 >= 1) & (kappa2 <= NEWTON_CUTOFF ** 2)
+                          & (x2 * x2 * x2 / det2 <= 9 * NEWTON_CUTOFF ** 4))
+                sign = np.sign(det)
+            r = np.sqrt(x2 / c2)
+            r *= sign
+            C *= r
+            X += C
+        np.multiply(X, 0.5 * np.sqrt(np.sqrt(c2 / x2) / np.abs(det)), out=Q.reshape(B, 9).T)
+    if not closed.all():
+        rest = ~closed
+        if np.isinf(frames[rest]).any():
+            bad = np.isinf(frames).any(axis=(1, 2)).reshape(M.shape[:-2])
+            raise ValueError(f"polar_factor_3x3: infinite entry{_frame_label(bad)}")
+        Q[rest] = _svd_polar(frames[rest])[0]
+    return Q.reshape(M.shape)
+
+
 def procrustes_rotation(Sest, Sgt):
     """Orthogonal matrix R (reflections permitted) minimizing ||Sest R - Sgt||_F,
-    per shape of any leading batch shape."""
-    return polar_factor(np.swapaxes(Sest, -1, -2) @ Sgt)[0]
+    per shape of any leading batch shape: the polar factor of Sest^T Sgt."""
+    return polar_factor_3x3(np.swapaxes(Sest, -1, -2) @ Sgt)
 
 
 def _sq_norms(S):
@@ -220,39 +297,62 @@ def _sq_norms(S):
     return (d[:, None, :] @ d[:, :, None]).ravel()
 
 
+def _first_non_finite(Sest, Sgt):
+    """(what, mask of frames) for the first of the estimates and the truths
+    (..., P, 3) that holds a NaN or an infinity, or None."""
+    for what, S in (("estimate", Sest), ("ground truth", Sgt)):
+        if not np.isfinite(S).all():
+            return what, ~np.isfinite(S).all(axis=(-2, -1))
+    return None
+
+
+def _align(Sest, Sgt, allow_scale):
+    """align_shapes without its checks; the scale's sums are BLAS dots."""
+    aligned = Sest @ procrustes_rotation(Sest, Sgt)
+    if allow_scale:
+        a = aligned.reshape(aligned.shape[:-2] + (1, -1))
+        denom = a @ np.swapaxes(a, -1, -2)
+        num = a @ np.swapaxes(Sgt.reshape(a.shape), -1, -2)
+        aligned = aligned * np.divide(num, denom, out=np.ones_like(denom), where=denom > 0)
+    return aligned
+
+
 def align_shapes(Sest, Sgt, allow_scale=False):
     """Align estimated shapes (..., P, 3) to ground truth by orthogonal
-    Procrustes, optionally with an optimal global scale per shape."""
+    Procrustes, optionally with an optimal global scale per shape.  A NaN
+    or an infinity in either is refused, naming the frame."""
     Sest = np.asarray(Sest, dtype=float)
     Sgt = np.asarray(Sgt, dtype=float)
     if Sest.shape != Sgt.shape:
         raise ValueError("align_shapes: shapes must have matching size")
-    aligned = Sest @ procrustes_rotation(Sest, Sgt)
-    if allow_scale:
-        denom = np.sum(aligned * aligned, axis=(-2, -1), keepdims=True)
-        num = np.sum(aligned * Sgt, axis=(-2, -1), keepdims=True)
-        aligned = aligned * np.divide(num, denom, out=np.ones_like(denom), where=denom > 0)
-    return aligned
+    if bad := _first_non_finite(Sest, Sgt):
+        raise ValueError(f"align_shapes: non-finite {bad[0]}{_frame_label(bad[1])}")
+    return _align(Sest, Sgt, allow_scale)
 
 
 def frame_3d_errors(estimates, truths, allow_scale=False, frames=None):
     """Per frame ||align(S_est) - S_gt||_F / ||S_gt||_F of (F, P, 3) stacks,
     as an array, aligned in blocks of ERROR_BLOCK frames so that only one
     block's temporaries are held.  frames, the scene index of each frame
-    (default 0..F-1), names a zero-norm ground-truth frame."""
+    (default 0..F-1), names a frame with a non-finite estimate or truth,
+    or a zero-norm truth."""
     Sest = np.asarray(estimates, dtype=float)
     Sgt = np.asarray(truths, dtype=float)
     if len(Sest) != len(Sgt):
         raise ValueError("3D error: frame counts differ")
+    if Sest.shape != Sgt.shape:
+        raise ValueError("align_shapes: shapes must have matching size")
+    name = (lambda i: i) if frames is None else frames.__getitem__
+    if bad := _first_non_finite(Sest, Sgt):
+        raise ValueError(f"3D error: non-finite {bad[0]} at frame {name(np.argmax(bad[1]))}")
     denom = np.sqrt(_sq_norms(Sgt))
     if np.any(denom == 0):
-        first = np.argmax(denom == 0)
         raise ValueError("3D error: zero-norm ground-truth frame at frame "
-                         f"{first if frames is None else frames[first]}")
+                         f"{name(np.argmax(denom == 0))}")
     errors = np.empty(len(Sgt))
     for i in range(0, len(Sgt), ERROR_BLOCK):
         est, gt = Sest[i:i + ERROR_BLOCK], Sgt[i:i + ERROR_BLOCK]
-        errors[i:i + ERROR_BLOCK] = np.sqrt(_sq_norms(align_shapes(est, gt, allow_scale) - gt))
+        errors[i:i + ERROR_BLOCK] = np.sqrt(_sq_norms(_align(est, gt, allow_scale) - gt))
     errors /= denom
     return errors
 

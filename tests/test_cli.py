@@ -191,7 +191,8 @@ def test_train_config_history_is_pinned(tmp_path, monkeypatch):
     """A run from a config file and one overriding flag writes the scene and
     the merged settings as sorted '# key=value' lines before the header row;
     the whole history keeps its bytes (re-pinned when the cameras' polar
-    factor became closed-form)."""
+    factor became closed-form, and when the 3D error's 3x3 polar factor
+    became a Newton iteration: one error3d moved, by 1.2e-16 relative)."""
     monkeypatch.chdir(tmp_path)
     _make_scene(tmp_path)
     with open("cfg.txt", "w") as fh:
@@ -205,7 +206,7 @@ def test_train_config_history_is_pinned(tmp_path, monkeypatch):
         "# seed=2", "# total_steps=40", "# width_first=6", "# width_last=3",
         ",".join(f.name for f in fields(HistoryRecord))]
     assert hashlib.sha256(data).hexdigest() == (
-        "8bff92b2332b01256487ce240f374a724995ce96264661732d4b7fa3e57fb1cd")
+        "ff2ae772906534ecb62ad4b5bb26a6f4202205a2365a59a3a3a988b77b172071")
 
 
 def test_train_zero_decay_steps_fails_cleanly(tmp_path, capsys):
@@ -592,12 +593,12 @@ def test_bad_checkpoint_manifest_fails_cleanly(tmp_path, capsys):
 @pytest.mark.parametrize("generate, digests", [
     pytest.param(["--seed", "5"], {
         "rec.txt": "8be3008c8ed1c030033376dddc69707e3b1ed5e3a590cc6060f9ac2a3d8196a0",
-        "cum.csv": "791b44aa35e8421b37416cc1810ef31f14ef416cf179ba4c412dc801d188f87f",
+        "cum.csv": "6694f09bd3ad93cc35c78d7fdb569f5a2d90604304a2f04d75891d0623c2d152",
         "stdout": "4fdac801372a30bc4e211c340bf1676665d335888cde1bb8aee9993cf210819b"},
         id="orthogonal"),
     pytest.param(["--mode", "weak_perspective", "--max-missing", "2", "--seed", "6"], {
         "rec.txt": "c38204af6bc72fdf74a02507913ead164cb2fe9f081f347bf06eecd6e4783c2d",
-        "cum.csv": "6d926e0dd8cfe597d463c43199293891694518516441dcc43561c055792a29b0",
+        "cum.csv": "37722ce7ce17ef88f43988fb0b075fff7f96456ec44b236998fc8b8fcb6a12ae",
         "stdout": "086f61ba5c06444ba586a4079aa47d86cb0f5df20dc96b03af39fea3813126c5"},
         id="weak-perspective-missing"),
 ])
@@ -607,7 +608,9 @@ def test_reconstruct_and_evaluate_bytes_are_pinned(tmp_path, capsys, monkeypatch
     they wrote when every command still parsed every section of its scenes:
     rec.txt, the cumulative CSV and the two commands' stdout, which names
     only relative paths (re-pinned when the cameras' polar factor became
-    closed-form)."""
+    closed-form, and the cumulative CSVs when the 3D error's 3x3 polar
+    factor became a Newton iteration: 2 and 6 of 34 numbers moved, by at
+    most 1.5e-16 and 2.8e-16 relative)."""
     monkeypatch.chdir(tmp_path)
     assert _run(["generate", "--points", "8", "--frames", "16", "--width-first", "6",
                  "--width-last", "3", "--sparsity", "1", "--out", "scene.txt"] + generate) == 0
@@ -629,7 +632,9 @@ def test_pipeline_bytes_across_a_block_boundary_are_pinned(tmp_path, capsys, mon
     344-frame block: the history, rec.txt, the cumulative CSV and the
     reconstruct and evaluate stdout keep the bytes they had when each pass
     ran all frames in one forward call (re-pinned when the cameras' polar
-    factor became closed-form)."""
+    factor became closed-form, and the cumulative CSV when the 3D error's
+    3x3 polar factor became a Newton iteration: 141 of 1,202 numbers moved,
+    by at most 2.8e-16 relative)."""
     monkeypatch.chdir(tmp_path)
     assert _run(["generate", "--points", "8", "--frames", "600", "--width-first", "6",
                  "--width-last", "3", "--sparsity", "1", "--mode", "weak_perspective",
@@ -647,7 +652,7 @@ def test_pipeline_bytes_across_a_block_boundary_are_pinned(tmp_path, capsys, mon
     assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == {
         "h.csv": "039ecacad95498f8598e9f7e5f586eb6ad1f8c6f08c74a7d0a22c7b7d55eefc3",
         "rec.txt": "09d52b4ad3c3724179505b3d89d49f92fb21e8a43441617f7bdc7f9319b2075d",
-        "cum.csv": "1db16dc4ef6b065f18f488dd1580c3ce8da3fd6cd61d469def1a66a61df032c8",
+        "cum.csv": "1cf27a460c24527160c814f8ba05a8fe12a439f5bad70952381246ee66d7f347",
         "stdout": "302cf3fbc665ceb1f4df397561dadd00f98576104a87134329337e445d6b592a"}
 
 

@@ -613,6 +613,39 @@ def test_scene_checks_every_array():
     assert scene.gt_scales.dtype == scene.gt_translations.dtype == float
 
 
+def test_scene_refuses_non_finite_optional_arrays(monkeypatch):
+    """A NaN or an infinity in any optional array is refused, naming the
+    field and the first bad frame, whether the scene is built or derived,
+    before any SVD: LAPACK's does not return on the 3x3 alignment matrix of
+    an infinite ground truth, so `train` on such a scene used to hang at its
+    first evaluation."""
+    def svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    scene, _ = synth_planted(PlantedSpec(points=5, frames=4, width_first=4, width_last=2,
+                                         sparsity=1, camera_mode="weak_perspective", seed=2))
+    scene = normalize_scene(scene, "bbox")
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    names = ["gt_shapes", "gt_rotations", "gt_scales", "gt_translations", "norm_centroids",
+             "norm_scales"]
+    for name in names:
+        for value in (np.nan, np.inf, -np.inf):
+            if name == "norm_scales" and not value > 0:
+                continue     # refused as not positive
+            a = getattr(scene, name).copy()
+            a.reshape(len(a), -1)[2:, -1] = value
+            message = f"^{name} has a non-finite value at frame 2$"
+            with pytest.raises(ValueError, match=message):
+                Scene(**{f.name: getattr(scene, f.name) for f in fields(Scene)} | {name: a})
+            with pytest.raises(ValueError, match=message):
+                replace(scene, **{name: a})
+    g = scene.gt_shapes.copy()
+    g[1, 0, 0] = np.inf
+    with pytest.raises(ValueError, match="^gt_shapes has a non-finite value at frame 1$"):
+        train(replace(scene, gt_shapes=g), TrainConfig(width_first=4, width_last=2,
+                                                       total_steps=2))
+
+
 def test_scene_refuses_non_positive_normalization_scales(tmp_path):
     """A normalization scale multiplies the shapes and translations read back
     from the model, so one that is zero, negative or NaN is refused, naming

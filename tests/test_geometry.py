@@ -4,10 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from nrsfm.geometry import (ERROR_BLOCK, POLAR_CUTOFF, RANK_EPS, CameraWeak, align_shapes,
-                            frame_3d_errors, mutual_coherence, noise_perturb,
+from nrsfm.geometry import (ERROR_BLOCK, NEWTON_CUTOFF, POLAR_CUTOFF, RANK_EPS, CameraWeak,
+                            align_shapes, frame_3d_errors, mutual_coherence, noise_perturb,
                             normalize_bbox, normalized_3d_error, orthonormalize_camera,
-                            polar_factor, project, random_camera, random_rotation)
+                            polar_factor, polar_factor_3x3, procrustes_rotation, project,
+                            random_camera, random_rotation)
 
 
 def test_project_orthogonal_basic():
@@ -293,8 +294,8 @@ def test_polar_factor_degenerate_frames_are_lapacks():
 
 def test_polar_factor_calls_lapack_for_the_frames_below_the_cutoff_only(monkeypatch):
     """A batch of well-conditioned 3x2 matrices makes no LAPACK call; one
-    with a zero frame makes one, on that frame; a 3x3 batch still takes
-    LAPACK's SVD."""
+    with a zero frame makes one, on that frame; 3x3 matrices are refused
+    (polar_factor_3x3 serves them)."""
     calls = []
     svd = np.linalg.svd
 
@@ -309,8 +310,9 @@ def test_polar_factor_calls_lapack_for_the_frames_below_the_cutoff_only(monkeypa
     M[9] = 0.0
     polar_factor(M)
     assert calls == [(1, 3, 2)]
-    polar_factor(np.eye(3)[None])
-    assert calls[1:] == [(1, 3, 3)]
+    with pytest.raises(ValueError, match=r"^polar_factor: expected 3x2 matrices, got \(3, 3\)$"):
+        polar_factor(np.eye(3)[None])
+    assert calls[1:] == []
 
 
 def test_polar_factor_batch_matches_single_frames():
@@ -330,6 +332,177 @@ def test_polar_factor_batch_matches_single_frames():
             assert np.array_equal(g, b)
 
 
+def _matrices(rng, sigmas):
+    """3x3 matrices U diag(sigma) V^T with random orthogonal U and V, one
+    per row of sigmas, every other one negated (det < 0: reflections)."""
+    U = np.linalg.qr(rng.standard_normal((len(sigmas), 3, 3)))[0]
+    V = np.linalg.qr(rng.standard_normal((len(sigmas), 3, 3)))[0]
+    M = (U * sigmas[:, None, :]) @ np.swapaxes(V, 1, 2)
+    M[1::2] *= -1
+    return M
+
+
+def _conditioned(rng, count):
+    """count 3x3 matrices with 2-norm condition numbers log-uniform from 1 to
+    NEWTON_CUTOFF / 3 (so ||M||_F ||M^-1||_F is at most the cutoff), the
+    middle singular value log-uniform between, scaled by 1e-8 to 1e3.
+    Returns (M, ||M||_F ||M^-1||_F)."""
+    top = rng.uniform(0, np.log10(NEWTON_CUTOFF / 3), count)
+    s = 10.0 ** np.stack([np.zeros(count), -top * rng.uniform(0, 1, count), -top], axis=1)
+    s *= 10.0 ** rng.uniform(-8, 3, (count, 1))
+    return _matrices(rng, s), np.sqrt((s ** 2).sum(axis=1) * (s ** -2.0).sum(axis=1))
+
+
+def test_polar_factor_3x3_agrees_with_lapack():
+    """Up to NEWTON_CUTOFF, reflections and scales from 1e-8 to 1e3
+    included, Q agrees with LAPACK's U @ Vt to 4e-15 times the condition
+    number ||M||_F ||M^-1||_F (both err by about that much), is orthogonal
+    to 1e-14 and has the sign of det M."""
+    M, kappa = _conditioned(np.random.default_rng(20), 20000)
+    assert kappa.max() <= NEWTON_CUTOFF
+    Q = polar_factor_3x3(M)
+    U, _, Vt = np.linalg.svd(M)
+    assert np.all(np.abs(Q - U @ Vt).max(axis=(1, 2)) <= 4e-15 * kappa)
+    assert np.abs(np.swapaxes(Q, 1, 2) @ Q - np.eye(3)).max() <= 1e-14
+    assert np.array_equal(np.linalg.det(Q) > 0, np.linalg.det(M) > 0)
+    assert 0 < np.count_nonzero(np.linalg.det(M) < 0) < len(M)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs 80-bit long double")
+def test_polar_factor_3x3_is_as_accurate_as_lapack():
+    """Against the polar factor of each float matrix in 80-bit arithmetic
+    (20 Frobenius-scaled Newton steps with inverses from cross products),
+    Newton's Q errs no more than LAPACK's worst error at each condition
+    number from 1 to 1e4."""
+    rng = np.random.default_rng(21)
+    for kappa in np.logspace(0, 4, 5):
+        M = _matrices(rng, np.tile([1.0, np.sqrt(1 / kappa), 1 / kappa], (300, 1)))
+        X = M.astype(np.longdouble)
+        for _ in range(20):
+            cof = np.stack([np.cross(X[:, 1], X[:, 2]), np.cross(X[:, 2], X[:, 0]),
+                            np.cross(X[:, 0], X[:, 1])], axis=1)
+            det = (X[:, 0] * cof[:, 0]).sum(axis=1)[:, None, None]
+            zeta = np.sqrt(np.sqrt((cof ** 2).sum(axis=(1, 2)) / (X ** 2).sum(axis=(1, 2))))
+            zeta = (zeta[:, None, None] / np.sqrt(np.abs(det)))
+            X = (zeta * X + cof / (zeta * det)) / 2
+        U, _, Vt = np.linalg.svd(M)
+        ours = np.abs(polar_factor_3x3(M) - X).max()
+        theirs = np.abs(U @ Vt - X).max()
+        assert ours <= theirs, kappa
+
+
+def test_polar_factor_3x3_degenerate_frames_are_lapacks():
+    """Zero, rank-1, rank-2 and ill-conditioned frames (condition above
+    NEWTON_CUTOFF), in a batch of good ones, get LAPACK's bits, without a
+    warning; a NaN frame raises LAPACK's error, and a frame with an
+    infinite entry, on which LAPACK's SVD does not return, is refused by
+    name."""
+    rng = np.random.default_rng(22)
+    M = _matrices(rng, np.tile([2.0, 1.0, 0.5], (12, 1)))
+    col, row = rng.standard_normal(3), rng.standard_normal(3)
+    M[1] = 0.0
+    M[3] = np.outer(col, row)                                           # rank 1
+    M[5] = np.stack([col, row, col - 2 * row])                          # rank 2, rounded
+    M[7] = _matrices(rng, np.array([[1.0, 0.5, 0.0]]))[0]               # rank 2
+    M[9] = _matrices(rng, np.array([[1.0, 0.5, 0.5 / NEWTON_CUTOFF]]))[0]   # condition 2.2e4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = polar_factor_3x3(M), _lapack_polar(M)[0]
+        for i in range(12):
+            if i in (1, 3, 5, 7, 9):
+                assert np.array_equal(got[i], want[i]), i
+            else:
+                assert np.abs(got[i] - want[i]).max() <= 1e-14, i
+        M[6, 0, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError) as ours:
+            polar_factor_3x3(M)
+        with pytest.raises(np.linalg.LinAlgError) as lapacks:
+            _lapack_polar(M)
+        assert str(ours.value) == str(lapacks.value)
+        for value in (np.inf, -np.inf):
+            M[6, 0, 1] = value
+            with pytest.raises(ValueError, match="^polar_factor_3x3: infinite entry at frame 6$"):
+                polar_factor_3x3(M)
+            with pytest.raises(ValueError, match="^polar_factor_3x3: infinite entry$"):
+                polar_factor_3x3(M[6])
+
+
+def test_polar_factor_3x3_calls_lapack_for_the_degenerate_frames_only(monkeypatch):
+    """A batch conditioned up to NEWTON_CUTOFF makes no LAPACK call; with a
+    zero frame and one conditioned past the cutoff it makes one, on those
+    two frames; every rank-1 and rank-2 product of random factors, scaled
+    by 1e-8 to 1e3, goes to LAPACK (their determinants and cofactors are
+    rounding noise); align_shapes and the 3D error use the same kernel."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(M, **kw):
+        calls.append(M.shape)
+        return svd(M, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(23)
+    M, _ = _conditioned(rng, 64)
+    polar_factor_3x3(M)
+    assert calls == []
+    M[9] = 0.0
+    M[40] = _matrices(rng, np.array([[1.0, 1.0, 1 / NEWTON_CUTOFF]]))[0]
+    polar_factor_3x3(M)
+    assert calls == [(2, 3, 3)]
+    low_rank = [rng.standard_normal((100, 3, k)) @ rng.standard_normal((100, k, 3))
+                for k in (1, 2)]
+    polar_factor_3x3(np.concatenate(low_rank) * 10.0 ** rng.uniform(-8, 3, (200, 1, 1)))
+    assert calls[1:] == [(200, 3, 3)]
+    S = rng.standard_normal((300, 8, 3))
+    frame_3d_errors(S + 0.1 * rng.standard_normal(S.shape), S, allow_scale=True)
+    align_shapes(S[0], S[1])
+    assert calls[2:] == []
+
+
+@pytest.mark.parametrize("frames", [1, 255, 256, 257])
+def test_polar_factor_3x3_batch_matches_single_frames(frames):
+    """Each frame's Q is the same bits in a batch as a single (3, 3) matrix,
+    and through strided views: a slice of a larger array, columns stored
+    contiguously and a reversed batch."""
+    rng = np.random.default_rng(frames)
+    M, _ = _conditioned(rng, frames)
+    M[3::50] = 0.0
+    batch = polar_factor_3x3(M)
+    assert np.array_equal(np.stack([polar_factor_3x3(m) for m in M]), batch)
+    big = np.zeros((frames, 4, 5))
+    big[:, 1:, 2:] = M
+    columns = np.swapaxes(np.ascontiguousarray(np.swapaxes(M, 1, 2)), 1, 2)
+    for got in (polar_factor_3x3(big[:, 1:, 2:]), polar_factor_3x3(columns),
+                polar_factor_3x3(M[::-1])[::-1]):
+        assert np.array_equal(got, batch)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_3d_alignment_refuses_non_finite_shapes_before_any_svd(monkeypatch, value):
+    """A NaN or an infinity in an estimate or a truth is refused by name
+    before any SVD (LAPACK's does not return on an infinite matrix): the 3D
+    error names the frame as it names a zero-norm truth, and align_shapes
+    names the frame of a batch."""
+    def svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    rng = np.random.default_rng(24)
+    S = rng.standard_normal((5, 6, 3))
+    bad = S.copy()
+    bad[2, 4, 1] = value
+    for est, gt, what in ((bad, S, "estimate"), (S, bad, "ground truth")):
+        for call in (frame_3d_errors, normalized_3d_error):
+            with pytest.raises(ValueError, match=f"^3D error: non-finite {what} at frame 2$"):
+                call(est, gt)
+            with pytest.raises(ValueError, match=f"^3D error: non-finite {what} at frame 11$"):
+                call(est, gt, frames=np.array([7, 9, 11, 13, 15]))
+        with pytest.raises(ValueError, match=f"^align_shapes: non-finite {what} at frame 2$"):
+            align_shapes(est, gt, allow_scale=True)
+        with pytest.raises(ValueError, match=f"^align_shapes: non-finite {what}$"):
+            align_shapes(est[2], gt[2])
+
+
 def test_align_shapes_identity_and_mirror():
     rng = np.random.default_rng(8)
     S = rng.standard_normal((10, 3))
@@ -347,7 +520,6 @@ def test_align_shapes_undoes_rotation():
 
 def test_align_rotation_is_orthogonal():
     rng = np.random.default_rng(11)
-    from nrsfm.geometry import procrustes_rotation
     for _ in range(20):
         R = procrustes_rotation(rng.standard_normal((8, 3)), rng.standard_normal((8, 3)))
         assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-10
@@ -388,12 +560,13 @@ def test_frame_3d_errors_one_per_frame():
         for f in range(5):
             assert errs[f] == normalized_3d_error(est[f:f + 1], S[f:f + 1],
                                                   allow_scale=allow_scale)
-            # the same arithmetic as a loop over single frames
+            # a loop over single frames through LAPACK's SVD, to rounding
             U, _, Vt = np.linalg.svd(est[f].T @ S[f])
             aligned = est[f] @ (U @ Vt)
             if allow_scale and np.sum(aligned * aligned) > 0:
                 aligned = aligned * (np.sum(aligned * S[f]) / np.sum(aligned * aligned))
-            assert errs[f] == np.linalg.norm(aligned - S[f]) / np.linalg.norm(S[f])
+            want = np.linalg.norm(aligned - S[f]) / np.linalg.norm(S[f])
+            assert abs(errs[f] - want) <= 1e-13 * want
         assert normalized_3d_error(est, S, allow_scale=allow_scale) == np.mean(errs)
     S[3] = 0.0
     with pytest.raises(ValueError, match="^3D error: zero-norm ground-truth frame at frame 3$"):

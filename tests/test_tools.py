@@ -80,3 +80,28 @@ def test_seed_sweep_passes_and_fails_as_the_criteria_do(monkeypatch):
                 except AssertionError:
                     passed = False
             assert verdict[f"criterion_{k}"] == passed, (errors, k)
+
+
+def test_same_bytes_reports_items_that_differ_in_numbers_only(monkeypatch, capsys):
+    """An item whose two sides are equal once their numbers are masked is
+    marked with how many numbers differ and the largest relative
+    difference; other differences are marked as before, and any difference
+    still exits 1."""
+    monkeypatch.syspath_prepend(str(TOOLS))
+    same_bytes = _load_tool("same_bytes")
+    numbers_only = same_bytes.numbers_only
+    assert numbers_only(b"a,1.5\nb,2e-3,-inf\n", b"a,1.5\nb,2.0000000001e-3,-inf\n") == (
+        " (numbers only: 1 of 3, max rel 5.0e-11)")
+    assert numbers_only(b"v 1.0 2 nan", b"v 1.00 inf nan") == " (numbers only: 2 of 3, max rel inf)"
+    assert numbers_only(b"x 1", b"y 1") == numbers_only(b"1,2", b"1,2,3") == ""
+    sides = {"base": {"h.csv": b"e,0.25\n", "rec.txt": b"1 2\n", "out": b"ok 3\n"},
+             "change": {"h.csv": b"e,0.2500000000000001\n", "rec.txt": b"1 2\n",
+                        "out": b"no 3\n"}}
+    monkeypatch.setattr(same_bytes, "checkout", lambda spec, tmp, side: (side, None))
+    monkeypatch.setattr(same_bytes, "run_side", lambda side, path, tmp: sides[side])
+    monkeypatch.setattr(same_bytes, "src_lines", lambda path: 7)
+    monkeypatch.setattr("sys.argv", ["same_bytes.py", "--base", "b", "--change", "c"])
+    assert same_bytes.main() == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "DIFFERS h.csv (numbers only: 1 of 1, max rel 4.4e-16)", "DIFFERS out",
+        "same    rec.txt", "src/nrsfm lines: base 7, change 7"]

@@ -36,12 +36,17 @@ fails, such as a reconstruct that may, must not leave one behind.  The tool
 prints one `same` or `DIFFERS` line per item, then each side's line count
 of src/nrsfm/*.py, and exits 1 if any item differs; any other command (all
 but the reconstructs that may fail) that fails on either side stops it with
-exit 2.
+exit 2.  An item that differs only in its numbers (the two sides are equal
+once every number is masked) is marked with how many numbers differ and
+the largest relative difference, as in `DIFFERS acceptance/history.csv
+(numbers only: 135 of 399, max rel 2.0e-15)`.
 """
 
 import argparse
 import glob
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -53,6 +58,7 @@ WIDTHS = ["--width-first", "32", "--width-last", "8"]
 SCENE = ["--points", "31", *WIDTHS]
 RUN = ["--checkpoint", "{out}/model.ckpt", "--history", "{out}/history.csv", "--quiet"]
 LEFTOVER = " *.partial files"   # item name suffix: temporary outputs left behind
+NUMBER = re.compile(rb"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\binf\b|\bnan\b)")
 RECONSTRUCT = ["nrsfm", "reconstruct", "{out}/scene.txt", "{out}/model.ckpt",
                "--out", "{out}/rec.txt"]
 
@@ -123,6 +129,27 @@ def run_side(side, path, tmp):
     return items
 
 
+def relative(p, q):
+    """|p - q| / max(|p|, |q|) of two floats: 0 if equal, inf if either is not finite."""
+    if p == q:
+        return 0.0
+    if not (math.isfinite(p) and math.isfinite(q)):
+        return math.inf
+    return abs(p - q) / max(abs(p), abs(q))
+
+
+def numbers_only(a, b):
+    """' (numbers only: n of m, max rel x)' when bytes a and b are equal once
+    every number is masked: n of a's m numbers are written differently, and
+    x is the largest relative difference among them.  '' when a and b differ
+    elsewhere too."""
+    if NUMBER.sub(b"#", a) != NUMBER.sub(b"#", b):
+        return ""
+    pairs = list(zip(NUMBER.findall(a), NUMBER.findall(b)))
+    rel = [relative(float(p), float(q)) for p, q in pairs if p != q]
+    return f" (numbers only: {len(rel)} of {len(pairs)}, max rel {max(rel, default=0.0):.1e})"
+
+
 def src_lines(path):
     """Lines of the checkout's src/nrsfm/*.py, as `wc -l` counts them."""
     total = 0
@@ -155,7 +182,8 @@ def main():
                 and not (name.endswith(LEFTOVER) and have[0]))
         missing = [side for side, v in zip(SIDES, have) if v is None]
         print(f"{'same' if same else 'DIFFERS':8}{name}"
-              + (f" (missing on {missing[0]})" if missing else ""))
+              + (f" (missing on {missing[0]})" if missing else "")
+              + ("" if same or missing else numbers_only(*have)))
         differ += not same
     print("src/nrsfm lines: " + ", ".join(f"{side} {lines[side]}" for side in SIDES))
     return 1 if differ else 0
