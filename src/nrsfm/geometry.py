@@ -162,18 +162,18 @@ def _svd_polar(M):
 
 def polar_factor(M):
     """Polar factor Q = U V^T of 3x2 matrices (any leading batch shape) from
-    their thin SVD.  Returns (Q, U, s, Vt, full_rank), full_rank being the
-    smallest singular value > RANK_EPS per matrix.
+    their thin SVD, in closed form.  Returns (Q, U, s, Vt, full_rank),
+    full_rank being the smallest singular value > RANK_EPS per matrix.
 
-    It takes a closed form.  With row i of M read as the complex
-    number w_i = x_i + i y_i, A = M^T M has z = sum w_i^2 = (a - c) + 2ib
-    and trace sum |w_i|^2, so sigma1^2 = (trace + |z|) / 2; sigma1 sigma2 is
-    the norm of the cross product of M's columns, and V's rotation angle is
-    half the argument of z, so e = exp(i arg(z) / 2) holds V's first column.
-    Then U = M V diag(1/s) is w * conj(e) with its real and imaginary parts
-    divided by sigma1 and sigma2, and Q = U V^T is that times e.  A matrix
-    whose sigma2 is not above POLAR_CUTOFF * sigma1 and 2 * RANK_EPS (zero,
-    rank-deficient, non-finite or ill-conditioned) goes to LAPACK instead,
+    With row i of M read as the complex number w_i = x_i + i y_i, A = M^T M
+    has z = sum w_i^2 = (a - c) + 2ib and trace sum |w_i|^2, so sigma1^2 =
+    (trace + |z|) / 2; sigma1 sigma2 is the norm of the cross product of M's
+    columns, and V's rotation angle is half the argument of z, so
+    e = exp(i arg(z) / 2) holds V's first column.  Then U = M V diag(1/s) is
+    w * conj(e) with its real and imaginary parts divided by sigma1 and
+    sigma2, and Q = U V^T is that times e.  A matrix whose sigma2 is not
+    above POLAR_CUTOFF * sigma1 and 2 * RANK_EPS (zero, rank-deficient,
+    non-finite or ill-conditioned) goes to LAPACK instead,
     with LAPACK's bits and errors."""
     M = np.asarray(M, dtype=float)
     if M.shape[-2:] != (3, 2):

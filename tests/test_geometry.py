@@ -191,11 +191,13 @@ def _lapack_polar(M):
     return U @ Vt, U, s, Vt, s[..., -1] > RANK_EPS
 
 
-def _cameras(rng, sigmas):
-    """3x2 matrices U diag(sigma1, sigma2) V^T with random column-orthonormal
-    U and orthogonal V (rotations and reflections), one per row of sigmas."""
-    U = np.linalg.qr(rng.standard_normal((len(sigmas), 3, 2)))[0]
-    V = np.linalg.qr(rng.standard_normal((len(sigmas), 2, 2)))[0]
+def _from_sigmas(rng, sigmas):
+    """3xk matrices U diag(sigma) V^T with random column-orthonormal U and
+    orthogonal V, one per row of sigmas (k = 2: cameras, k = 3: Procrustes
+    matrices)."""
+    k = sigmas.shape[1]
+    U = np.linalg.qr(rng.standard_normal((len(sigmas), 3, k)))[0]
+    V = np.linalg.qr(rng.standard_normal((len(sigmas), k, k)))[0]
     return (U * sigmas[:, None, :]) @ np.swapaxes(V, 1, 2)
 
 
@@ -205,7 +207,7 @@ def _sweep(rng, per_ratio=200):
     ratios = np.concatenate([np.logspace(-7, 0, 36), 1 - np.logspace(-16, -2, 8), [1.0]])
     sigma1 = 10.0 ** rng.uniform(-8, 3, (len(ratios), per_ratio))
     sigmas = np.stack([sigma1, sigma1 * ratios[:, None]], axis=-1).reshape(-1, 2)
-    return _cameras(rng, sigmas), np.repeat(ratios, per_ratio)
+    return _from_sigmas(rng, sigmas), np.repeat(ratios, per_ratio)
 
 
 def test_polar_factor_closed_form_agrees_with_lapack():
@@ -238,7 +240,7 @@ def test_polar_factor_closed_form_is_as_accurate_as_lapack():
     LAPACK's worst error at each ratio, from 1e-8 to 1."""
     rng = np.random.default_rng(1)
     for ratio in np.logspace(-8, 0, 9):
-        M = _cameras(rng, np.tile([1.0, ratio], (300, 1)))
+        M = _from_sigmas(rng, np.tile([1.0, ratio], (300, 1)))
         L = M.astype(np.longdouble)
         A = np.swapaxes(L, 1, 2) @ L
         a, b, c = A[:, 0, 0], A[:, 0, 1], A[:, 1, 1]
@@ -259,14 +261,14 @@ def test_polar_factor_degenerate_frames_are_lapacks():
     a NaN frame raises LAPACK's error, and an infinite one gets LAPACK's
     result; none of it warns."""
     rng = np.random.default_rng(2)
-    M = _cameras(rng, np.tile([1.0, 0.5], (12, 1)))
+    M = _from_sigmas(rng, np.tile([1.0, 0.5], (12, 1)))
     col = rng.standard_normal(3)
     M[1] = 0.0
     M[3] = np.stack([col, 0.3 * col], axis=1)           # rank 1, rounded
     M[5] = np.stack([col, 2.0 * col], axis=1)           # rank 1, exactly
-    M[7] = _cameras(rng, np.array([[2.0, 0.5 * RANK_EPS]]))[0]
-    M[9] = _cameras(rng, np.array([[1.0, 0.5 * POLAR_CUTOFF]]))[0]
-    M[11] = _cameras(rng, np.array([[1.5 * RANK_EPS, 1.5 * RANK_EPS]]))[0]   # full rank, small
+    M[7] = _from_sigmas(rng, np.array([[2.0, 0.5 * RANK_EPS]]))[0]
+    M[9] = _from_sigmas(rng, np.array([[1.0, 0.5 * POLAR_CUTOFF]]))[0]
+    M[11] = _from_sigmas(rng, np.array([[1.5 * RANK_EPS, 1.5 * RANK_EPS]]))[0]   # full rank, small
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, want = polar_factor(M), _lapack_polar(M)
@@ -304,7 +306,7 @@ def test_polar_factor_calls_lapack_for_the_frames_below_the_cutoff_only(monkeypa
         return svd(M, **kw)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    M = _cameras(np.random.default_rng(4), np.tile([1.0, 0.5], (64, 1)))
+    M = _from_sigmas(np.random.default_rng(4), np.tile([1.0, 0.5], (64, 1)))
     polar_factor(M)
     assert calls == []
     M[9] = 0.0
@@ -333,11 +335,8 @@ def test_polar_factor_batch_matches_single_frames():
 
 
 def _matrices(rng, sigmas):
-    """3x3 matrices U diag(sigma) V^T with random orthogonal U and V, one
-    per row of sigmas, every other one negated (det < 0: reflections)."""
-    U = np.linalg.qr(rng.standard_normal((len(sigmas), 3, 3)))[0]
-    V = np.linalg.qr(rng.standard_normal((len(sigmas), 3, 3)))[0]
-    M = (U * sigmas[:, None, :]) @ np.swapaxes(V, 1, 2)
+    """_from_sigmas's 3x3 matrices, every other one negated (det < 0)."""
+    M = _from_sigmas(rng, sigmas)
     M[1::2] *= -1
     return M
 
