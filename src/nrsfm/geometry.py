@@ -15,8 +15,8 @@ POLAR_CUTOFF = 1e-4
 # number ||M||_F ||M^-1||_F is at most this; LAPACK serves the rest.  Against
 # an 80-bit reference the iteration was as accurate as LAPACK at every
 # condition number from 1 to 1e8, so the cutoff only keeps frames near rank 2
-# on LAPACK's bits.  At every condition number tried (1 to 1e10) the 5th step
-# was within 1e-9 of the iteration's limit and the 6th within rounding (5e-16).
+# on LAPACK's bits.  At every condition number tried (1 to 1e8) the 5th step
+# was within 1e-9 of the iteration's limit and the 6th within rounding (6e-16).
 NEWTON_CUTOFF = 1e4
 NEWTON_STEPS = 6
 _VT_ROWS = np.array([1, 1j])    # V^T's rows as complex numbers: e and i e

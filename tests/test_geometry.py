@@ -371,10 +371,10 @@ def test_polar_factor_3x3_agrees_with_lapack():
 def test_polar_factor_3x3_is_as_accurate_as_lapack():
     """Against the polar factor of each float matrix in 80-bit arithmetic
     (20 Frobenius-scaled Newton steps with inverses from cross products),
-    Newton's Q errs no more than LAPACK's worst error at each condition
-    number from 1 to 1e4."""
+    Newton's Q errs no more than LAPACK's worst error at each 2-norm
+    condition number from 1 to 3e3 (||M||_F ||M^-1||_F up to the cutoff)."""
     rng = np.random.default_rng(21)
-    for kappa in np.logspace(0, 4, 5):
+    for kappa in np.logspace(0, 3.5, 8):
         M = _matrices(rng, np.tile([1.0, np.sqrt(1 / kappa), 1 / kappa], (300, 1)))
         X = M.astype(np.longdouble)
         for _ in range(20):

@@ -85,8 +85,9 @@ def test_seed_sweep_passes_and_fails_as_the_criteria_do(monkeypatch):
 def test_same_bytes_reports_items_that_differ_in_numbers_only(monkeypatch, capsys):
     """An item whose two sides are equal once their numbers are masked is
     marked with how many numbers differ and the largest relative
-    difference; other differences are marked as before, and any difference
-    still exits 1."""
+    difference; other differences, and a leftover temporary file listed
+    alike on both sides, are marked as before, and any difference still
+    exits 1."""
     monkeypatch.syspath_prepend(str(TOOLS))
     same_bytes = _load_tool("same_bytes")
     numbers_only = same_bytes.numbers_only
@@ -94,9 +95,11 @@ def test_same_bytes_reports_items_that_differ_in_numbers_only(monkeypatch, capsy
         " (numbers only: 1 of 3, max rel 5.0e-11)")
     assert numbers_only(b"v 1.0 2 nan", b"v 1.00 inf nan") == " (numbers only: 2 of 3, max rel inf)"
     assert numbers_only(b"x 1", b"y 1") == numbers_only(b"1,2", b"1,2,3") == ""
-    sides = {"base": {"h.csv": b"e,0.25\n", "rec.txt": b"1 2\n", "out": b"ok 3\n"},
+    left = same_bytes.LEFTOVER
+    sides = {"base": {"h.csv": b"e,0.25\n", "rec.txt": b"1 2\n", "out": b"ok 3\n",
+                      "p" + left: b"x.1.partial"},
              "change": {"h.csv": b"e,0.2500000000000001\n", "rec.txt": b"1 2\n",
-                        "out": b"no 3\n"}}
+                        "out": b"no 3\n", "p" + left: b"x.1.partial"}}
     monkeypatch.setattr(same_bytes, "checkout", lambda spec, tmp, side: (side, None))
     monkeypatch.setattr(same_bytes, "run_side", lambda side, path, tmp: sides[side])
     monkeypatch.setattr(same_bytes, "src_lines", lambda path: 7)
@@ -104,4 +107,4 @@ def test_same_bytes_reports_items_that_differ_in_numbers_only(monkeypatch, capsy
     assert same_bytes.main() == 1
     assert capsys.readouterr().out.splitlines() == [
         "DIFFERS h.csv (numbers only: 1 of 1, max rel 4.4e-16)", "DIFFERS out",
-        "same    rec.txt", "src/nrsfm lines: base 7, change 7"]
+        "DIFFERS p" + left, "same    rec.txt", "src/nrsfm lines: base 7, change 7"]
