@@ -58,7 +58,8 @@ class CheckpointError(ValueError):
 class Scene:
     """A dataset of 2D measurements with visibility, optional ground truth and
     optional per-frame normalization records (both or neither), each
-    shape-checked and refused if it holds a NaN or an infinity."""
+    shape-checked and refused if it holds a NaN or an infinity (the
+    measurements only at visible points)."""
 
     measurements: np.ndarray                 # (F, P, 2)
     visibility: np.ndarray                   # (F, P) bool
@@ -91,6 +92,10 @@ class Scene:
         for name in ("gt_scales", "gt_translations"):
             if self.gt_rotations is None and getattr(self, name) is not None:
                 raise ValueError(f"{name} needs gt_rotations")
+        bad = self.visibility & ~np.isfinite(self.measurements).all(axis=2)
+        if bad.any():
+            raise ValueError("measurements has a non-finite visible point at frame "
+                             f"{np.argmax(bad.any(axis=1))}")
         for f in fields(self)[3:]:
             if (a := getattr(self, f.name)) is not None and not np.isfinite(a).all():
                 bad = ~np.isfinite(a.reshape(F, -1)).all(axis=1)

@@ -614,11 +614,11 @@ def test_scene_checks_every_array():
 
 
 def test_scene_refuses_non_finite_optional_arrays(monkeypatch):
-    """A NaN or an infinity in any optional array is refused, naming the
-    field and the first bad frame, whether the scene is built or derived,
-    before any SVD: LAPACK's does not return on the 3x3 alignment matrix of
-    an infinite ground truth, so `train` on such a scene used to hang at its
-    first evaluation."""
+    """A NaN or an infinity in any optional array, or at a visible point of
+    the measurements, is refused, naming the field and the first bad frame,
+    whether the scene is built or derived, before any SVD: LAPACK's does not
+    return on the 3x3 alignment matrix of an infinite ground truth, so
+    `train` on such a scene used to hang at its first evaluation."""
     def svd(*args, **kwargs):
         raise AssertionError("np.linalg.svd called")
 
@@ -639,6 +639,14 @@ def test_scene_refuses_non_finite_optional_arrays(monkeypatch):
                 Scene(**{f.name: getattr(scene, f.name) for f in fields(Scene)} | {name: a})
             with pytest.raises(ValueError, match=message):
                 replace(scene, **{name: a})
+    W, vis = scene.measurements.copy(), scene.visibility.copy()
+    W[2, 1] = np.nan
+    vis[2, 1] = False
+    replace(scene, measurements=W, visibility=vis)      # hidden points may hold anything
+    W[3, 4, 0] = np.inf
+    with pytest.raises(ValueError, match="^measurements has a non-finite visible point at "
+                                         "frame 3$"):
+        replace(scene, measurements=W, visibility=vis)
     g = scene.gt_shapes.copy()
     g[1, 0, 0] = np.inf
     with pytest.raises(ValueError, match="^gt_shapes has a non-finite value at frame 1$"):
