@@ -27,7 +27,7 @@ import numpy as np
 
 from .geometry import (CAMERA_MODES, add_scaled_noise, draw_camera, normalize_bbox,
                        project_frames, quaternion_rotations, visible_centroid)
-from .model import ModelParams, atom_rows, random_params, width_schedule
+from .model import ModelParams, atom_rows, check_fields, random_params, width_schedule
 from .training import OptimizerState
 
 SCENE_MAGIC = "# nrsfm-scene v1"
@@ -127,29 +127,24 @@ class PlantedSpec:
     """Generative recipe for a synthetic scene drawn from the hierarchical
     sparse model itself."""
 
-    points: int = 31
-    frames: int = 200
+    points: int = field(default=31, metadata={"min": 2})
+    frames: int = field(default=200, metadata={"min": 1})
     layers: int = 2
     width_first: int = 32
     width_last: int = 8
     sparsity: int = 2
     camera_mode: str = field(default="orthogonal", metadata={"choices": CAMERA_MODES})
     noise_ratio: float = 0.0
-    max_missing: int = 0
-    seed: int = 0
+    max_missing: int = field(default=0, metadata={"min": 0})
+    seed: int = field(default=0, metadata={"min": 0})
 
     def __post_init__(self):
-        if self.frames < 1 or self.points < 2:
-            raise ValueError("need at least one frame and two points")
+        check_fields(self)
         width_schedule(self.width_first, self.width_last, self.layers)
         if not (1 <= self.sparsity <= self.width_last):
             raise ValueError("sparsity must be in 1..width_last")
-        if self.camera_mode not in CAMERA_MODES:
-            raise ValueError(f"unknown camera mode {self.camera_mode!r}")
-        if not (0 <= self.noise_ratio < math.inf and self.max_missing >= 0):
-            raise ValueError("noise ratio and max missing must be finite and non-negative")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.noise_ratio < math.inf:
+            raise ValueError("noise ratio must be finite and non-negative")
 
     @property
     def widths(self):
@@ -206,9 +201,11 @@ def synth_planted(spec):
 
 
 def make_missing(scene, max_missing, seed):
-    """Hide 1..max_missing uniform points per frame (uniform count and positions).  Only
-    the visibility is new; the other arrays are scene's: copy before editing in place."""
+    """Hide 1..max_missing (an int) uniform points per frame (uniform count and positions).
+    Only the visibility is new; the other arrays are scene's: copy before editing in place."""
     P = scene.point_count
+    if type(max_missing) is not int:
+        raise ValueError(f"max_missing must be of type int, got {max_missing!r}")
     if not (1 <= max_missing < P):
         raise ValueError(f"max_missing must be in 1..{P - 1}")
     rng = np.random.default_rng(seed)

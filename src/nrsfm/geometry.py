@@ -123,19 +123,30 @@ def _frame_label(bad):
     return f" at frame {', '.join(map(str, np.argwhere(bad)[0]))}" if bad.ndim else ""
 
 
-def visible_centroid(W, mask):
-    """Centroid of the visible points of (..., P, 2) frames with (..., P)
-    masks: their sum divided by their count, which must not be 0."""
+def _centroid(W, mask, caller):
+    """visible_centroid, its errors naming caller."""
     count = np.count_nonzero(mask, axis=-1)
     if np.any(count == 0):
-        raise ValueError(f"visible_centroid: no visible point{_frame_label(count == 0)}")
-    return np.where(mask[..., None], W, 0.0).sum(axis=-2) / count[..., None]
+        raise ValueError(f"{caller}: no visible point{_frame_label(count == 0)}")
+    visible = np.where(mask[..., None], W, 0.0)
+    bad = ~np.isfinite(visible).all(axis=(-2, -1))
+    if np.any(bad):
+        raise ValueError(f"{caller}: non-finite visible point{_frame_label(bad)}")
+    return visible.sum(axis=-2) / count[..., None]
+
+
+def visible_centroid(W, mask):
+    """Centroid of the visible points of (..., P, 2) frames with (..., P)
+    masks: their sum divided by their count, which must not be 0.  A NaN
+    or an infinity at a visible point is refused, naming the frame."""
+    return _centroid(W, mask, "visible_centroid")
 
 
 def normalize_bbox(W, mask=None):
     """Shift visible points to zero centroid and divide by the larger
     bounding-box side, so max(width, height) = 1.  Invisible entries are
-    zeroed.  W is (..., P, 2) with (..., P) masks.  Returns (normalized W,
+    zeroed.  W is (..., P, 2) with (..., P) masks; a NaN or an infinity at a
+    visible point is refused, naming the frame.  Returns (normalized W,
     (centroid (..., 2), scale (...)))."""
     W = np.asarray(W, dtype=float)
     mask = (np.ones(W.shape[:-1], dtype=bool) if mask is None
@@ -143,13 +154,13 @@ def normalize_bbox(W, mask=None):
     few = np.count_nonzero(mask, axis=-1) < 2
     if np.any(few):
         raise ValueError(f"normalize_bbox: need at least 2 visible points{_frame_label(few)}")
+    centroid = _centroid(W, mask, "normalize_bbox")
     vis = mask[..., None]
     extent = np.where(vis, W, -np.inf).max(axis=-2) - np.where(vis, W, np.inf).min(axis=-2)
     scale = extent.max(axis=-1)
     if np.any(scale <= 0):
         raise ValueError("normalize_bbox: degenerate frame, visible points coincide"
                          + _frame_label(scale <= 0))
-    centroid = visible_centroid(W, mask)
     Wn = np.where(vis, (W - centroid[..., None, :]) / scale[..., None, None], 0.0)
     return Wn, (centroid, scale)
 
@@ -341,7 +352,8 @@ def frame_3d_errors(estimates, truths, allow_scale=False, frames=None):
     if len(Sest) != len(Sgt):
         raise ValueError("3D error: frame counts differ")
     if Sest.shape != Sgt.shape:
-        raise ValueError("align_shapes: shapes must have matching size")
+        raise ValueError(f"frame_3d_errors: estimates of shape {Sest.shape} and "
+                         f"truths of shape {Sgt.shape} differ")
     name = (lambda i: i) if frames is None else frames.__getitem__
     if bad := _first_non_finite(Sest, Sgt):
         raise ValueError(f"3D error: non-finite {bad[0]} at frame {name(np.argmax(bad[1]))}")
@@ -363,10 +375,14 @@ def normalized_3d_error(estimates, truths, allow_scale=False, frames=None):
 
 
 def mutual_coherence(D):
-    """Max over atom pairs of |d_i^T d_j| / (||d_i|| ||d_j||)."""
+    """Max over atom pairs of |d_i^T d_j| / (||d_i|| ||d_j||).  An atom
+    (column) with a NaN or an infinity is refused, naming it."""
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.shape[1] < 2:
         raise ValueError("mutual_coherence: need a matrix with at least 2 atoms")
+    bad = ~np.isfinite(D).all(axis=0)
+    if np.any(bad):
+        raise ValueError(f"mutual_coherence: non-finite atom {np.argmax(bad)}")
     norms = np.linalg.norm(D, axis=0)
     if np.any(norms == 0):
         raise ValueError("mutual_coherence: zero-norm atom")

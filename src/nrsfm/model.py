@@ -17,7 +17,7 @@ Conventions
   place; its cache holds one array per layer, no pre-activations.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
 
 import numpy as np
@@ -129,6 +129,22 @@ class ModelParams:
         zeros = self.copy()
         zeros.flat.fill(0.0)
         return zeros
+
+
+def check_fields(config):
+    """Refuse, naming the field, a dataclass field's value that is not of its
+    declared type (an int field takes only an int, not a bool or a numpy
+    integer, which JSON cannot write; a float field also takes an int), is
+    below its metadata "min" or is not among its metadata "choices"."""
+    for f in fields(config):
+        value, rule, label = getattr(config, f.name), f.metadata, f.name.replace("_", " ")
+        if not (type(value) is f.type if f.type in (int, bool)
+                else isinstance(value, f.type) or f.type is float and type(value) is int):
+            raise ValueError(f"{label} must be of type {f.type.__name__}, got {value!r}")
+        if "min" in rule and value < rule["min"]:
+            raise ValueError(f"{label} must be >= {rule['min']}")
+        if "choices" in rule and value not in rule["choices"]:
+            raise ValueError(f"unknown {label} {value!r}")
 
 
 def width_schedule(first, last, layers):

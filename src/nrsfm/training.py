@@ -24,37 +24,24 @@ class TrainConfig:
     width_last: int = 8
     activation: str = field(default="relu", metadata={"choices": ACTIVATIONS})
     translation: bool = False
-    batch_size: int = 64
-    total_steps: int = 10000
+    batch_size: int = field(default=64, metadata={"min": 1})
+    total_steps: int = field(default=10000, metadata={"min": 1})
     base_lr: float = 0.003
     decay_factor: float = 0.9
-    decay_steps: int = 4000
-    seed: int = 0
-    eval_interval: int = 500
+    decay_steps: int = field(default=4000, metadata={"min": 1})
+    seed: int = field(default=0, metadata={"min": 0})
+    eval_interval: int = field(default=500, metadata={"min": 1})
     normalize: str = field(default="bbox", metadata={"choices": NORMALIZE_MODES})
 
     def __post_init__(self):
+        mdl.check_fields(self)
         if self.widths[-1] < 2:
             raise ValueError("the final dictionary needs at least 2 atoms "
                              "(its mutual coherence is recorded)")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
         if not 0 < self.base_lr < np.inf:
             raise ValueError("learning rate must be positive and finite")
         if not 0 < self.decay_factor <= 1:
             raise ValueError("decay factor must be in (0, 1]")
-        if self.decay_steps < 1:
-            raise ValueError("decay steps must be >= 1")
-        if self.total_steps < 1:
-            raise ValueError("need at least one step")
-        if self.eval_interval < 1:
-            raise ValueError("eval interval must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.normalize not in NORMALIZE_MODES:
-            raise ValueError(f"unknown normalize mode {self.normalize!r}")
 
     @property
     def widths(self):

@@ -194,14 +194,14 @@ def test_random_camera_matches_stacked_builder():
 
 
 def test_planted_spec_validation():
-    for bad, match in ((dict(points=1), "two points"),
+    for bad, match in ((dict(points=1), "^points must be >= 2$"),
                        (dict(layers=0), "layer"),
                        (dict(width_first=4, width_last=8), "widths"),
                        (dict(width_first=4, width_last=0), "widths"),
                        (dict(noise_ratio=-1.0), "non-negative"),
                        (dict(noise_ratio=float("nan")), "non-negative"),
                        (dict(noise_ratio=float("inf")), "finite"),
-                       (dict(max_missing=-1), "non-negative"),
+                       (dict(max_missing=-1), "^max missing must be >= 0$"),
                        (dict(seed=-3), "seed"),
                        (dict(sparsity=0), "^sparsity must be in 1..width_last$"),
                        (dict(width_last=4, sparsity=5), "^sparsity must be in 1..width_last$"),
@@ -227,6 +227,16 @@ def test_make_missing_rejects_bad_max():
         make_missing(scene, 0, seed=0)
     with pytest.raises(ValueError):
         make_missing(scene, 5, seed=0)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, np.int64(2), "2"])
+def test_make_missing_refuses_a_max_that_is_not_an_int(bad):
+    """A float, a bool or a numpy integer would hide 1..int(max) points."""
+    scene, _ = synth_planted(PlantedSpec(points=5, frames=2, seed=8,
+                                         width_first=4, width_last=2))
+    with pytest.raises(ValueError) as info:
+        make_missing(scene, bad, seed=0)
+    assert str(info.value) == f"max_missing must be of type int, got {bad!r}"
 
 
 def test_make_missing_count_distribution_uniform():

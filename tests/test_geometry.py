@@ -8,7 +8,7 @@ from nrsfm.geometry import (ERROR_BLOCK, NEWTON_CUTOFF, POLAR_CUTOFF, RANK_EPS, 
                             align_shapes, frame_3d_errors, mutual_coherence, noise_perturb,
                             normalize_bbox, normalized_3d_error, orthonormalize_camera,
                             polar_factor, polar_factor_3x3, procrustes_rotation, project,
-                            random_camera, random_rotation)
+                            random_camera, random_rotation, visible_centroid)
 
 
 def test_project_orthogonal_basic():
@@ -154,6 +154,26 @@ def test_normalize_bbox_degenerate():
     mask[1, 1:] = False
     with pytest.raises(ValueError, match="2 visible points at frame 1"):
         normalize_bbox(batch, mask)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_normalizers_refuse_a_non_finite_visible_point(value):
+    """A NaN or an infinity at a visible point is refused by name, naming
+    its frame, without a numpy warning; at a hidden point it is ignored."""
+    W = np.random.default_rng(20).standard_normal((3, 5, 2))
+    W[1, 0, 0] = value
+    mask = np.ones((3, 5), dtype=bool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in (("normalize_bbox", normalize_bbox),
+                           ("visible_centroid", visible_centroid)):
+            with pytest.raises(ValueError) as info:
+                call(W, mask)
+            assert str(info.value) == f"{name}: non-finite visible point at frame 1"
+        mask[1, 0] = False
+        Wn, (centroid, scale) = normalize_bbox(W, mask)
+        assert np.isfinite(Wn).all() and np.isfinite(scale).all()
+        assert np.array_equal(visible_centroid(W, mask), centroid)
 
 
 def test_orthonormalize_idempotent_and_scale_stripping():
@@ -609,6 +629,13 @@ def test_frame_3d_errors_refuses_unequal_frame_counts(extra):
             call(est, S)
 
 
+def test_frame_3d_errors_names_itself_and_both_shapes():
+    with pytest.raises(ValueError) as info:
+        frame_3d_errors(np.zeros((2, 4, 3)), np.ones((2, 5, 3)))
+    assert str(info.value) == ("frame_3d_errors: estimates of shape (2, 4, 3) "
+                               "and truths of shape (2, 5, 3) differ")
+
+
 @pytest.mark.parametrize("mode", ["orthogonal", "weak_perspective"])
 def test_frame_3d_errors_peak_memory(mode):
     """At P=31 and F=2000 the traced peak is 0.41 MiB (0.65 MiB with a
@@ -680,3 +707,14 @@ def test_noise_perturb():
     for bad in (-0.1, np.inf, np.nan):
         with pytest.raises(ValueError, match="finite and non-negative"):
             noise_perturb(W, bad, 1)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_mutual_coherence_refuses_a_non_finite_atom(value):
+    D = np.eye(4)
+    D[2, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            mutual_coherence(D)
+    assert str(info.value) == "mutual_coherence: non-finite atom 1"

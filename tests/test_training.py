@@ -39,7 +39,7 @@ def test_config_validation():
                        (dict(activation="foo"), "activation"),
                        (dict(seed=-1), "seed"),
                        (dict(batch_size=0), "^batch size must be >= 1$"),
-                       (dict(total_steps=0), "^need at least one step$"),
+                       (dict(total_steps=0), "^total steps must be >= 1$"),
                        (dict(eval_interval=0), "^eval interval must be >= 1$")):
         with pytest.raises(ValueError, match=match):
             TrainConfig(**bad)
@@ -55,6 +55,40 @@ def test_config_widths_interpolate_linearly():
     cfg = TrainConfig(layers=3, width_first=32, width_last=8)
     assert cfg.widths == [32, 20, 8]
     assert TrainConfig(layers=1, width_first=8, width_last=8).widths == [8]
+
+
+# values of the wrong type for a field of each declared type; they include
+# TrainConfig(translation="no"), (layers=True), (seed=np.int64(3)) and
+# PlantedSpec(frames=2.5), which used to build some other config
+WRONG_TYPES = {int: (1.5, 2.5, True, np.int64(3), "3"), float: (True, "0.1", np.float32(0.5)),
+               bool: ("no", 1, np.bool_(True)), str: (1, None)}
+# each field's lower bound, for the fields that have one
+BOUNDS = {"batch_size": 1, "total_steps": 1, "decay_steps": 1, "seed": 0,
+          "eval_interval": 1, "points": 2, "frames": 1, "max_missing": 0}
+
+
+@pytest.mark.parametrize("schema, f", [(schema, f) for schema in (TrainConfig, PlantedSpec)
+                                       for f in fields(schema)],
+                         ids=lambda x: getattr(x, "__name__", None) or x.name)
+def test_config_field_refuses_a_wrong_type_bound_or_choice(schema, f):
+    """Every field of both configs refuses, naming the field, each value of
+    another type, the value below its bound and an unknown choice; it takes
+    its bound, and a float field takes an int."""
+    assert f.metadata.get("min") == BOUNDS.get(f.name)
+    label = f.name.replace("_", " ")
+    cases = [(v, f"{label} must be of type {f.type.__name__}, got {v!r}")
+             for v in WRONG_TYPES[f.type]]
+    if f.name in BOUNDS:
+        cases.append((BOUNDS[f.name] - 1, f"{label} must be >= {BOUNDS[f.name]}"))
+        schema(**{f.name: BOUNDS[f.name]})
+    if "choices" in f.metadata:
+        cases.append(("nope", f"unknown {label} 'nope'"))
+    for value, message in cases:
+        with pytest.raises(ValueError) as info:
+            schema(**{f.name: value})
+        assert str(info.value) == message
+    if f.type is float:
+        assert getattr(schema(**{f.name: 1}), f.name) == 1
 
 
 def test_init_params_unit_columns_and_determinism():

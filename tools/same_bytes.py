@@ -5,7 +5,7 @@
 Each side is a checkout, as in tools/bench_pairs.py, run from a fresh
 temporary directory: a directory copied without `__pycache__`, `.git` and
 the benchmark's output, or a git revision of this repository exported with
-`git archive`; the change defaults to this working tree.  Three pipelines
+`git archive`; the change defaults to this working tree.  Five pipelines
 run in each checkout under PYTHONPATH=src and OPENBLAS_NUM_THREADS=1, with
 an `nrsfm` on PATH that runs the checkout's own package.  Both sides write
 into the same output directory, since a training history names its scene's
@@ -26,7 +26,11 @@ path:
   for 300 steps with `--normalize center`, then with `--normalize none
   --translation`, each run followed by a reconstruct that may fail, so
   that the two normalization modes the other pipelines do not train with
-  are covered.
+  are covered;
+- refusals: commands that must fail, such as `train --total-steps 0`,
+  `generate --points 1` and `train --config` with a file that sets
+  `batch_size = 2.5`, so that a change to a user-visible error message
+  shows as a `DIFFERS` stderr item.
 
 Every file a pipeline writes and every command's exit code, stdout and
 stderr are compared byte for byte.  After each pipeline one more item lists
@@ -35,10 +39,11 @@ directory; it is `same` only when both sides list none, so a command that
 fails, such as a reconstruct that may, must not leave one behind.  The tool
 prints one `same` or `DIFFERS` line per item, then each side's line count
 of src/nrsfm/*.py, and exits 1 if any item differs; any other command (all
-but the reconstructs that may fail) that fails on either side stops it with
-exit 2.  An item that differs only in its numbers (the two sides are equal
-once every number is masked) is marked with how many numbers differ and
-the largest relative difference, as in `DIFFERS demo05/cumulative.csv
+but the reconstructs that may fail and the refusals) that fails on either
+side stops it with exit 2, and so does a refusal that succeeds.  An item
+that differs only in its numbers (the two sides are equal once every
+number is masked) is marked with how many numbers differ and the largest
+relative difference, as in `DIFFERS demo05/cumulative.csv
 (numbers only: 137 of 402, max rel 2.3e-15)`.
 """
 
@@ -71,11 +76,21 @@ def normalize_run(mode, *flags):
                                "--history", files[1], "--quiet", *WIDTHS, "--normalize", mode,
                                *flags, "--total-steps", "300"], True),
             (f"reconstruct-{mode}", ["nrsfm", "reconstruct", "{out}/scene.txt", files[0],
-                                     "--out", files[2]], False)]
+                                     "--out", files[2]], None)]
+
+
+def refusal(name, *argv):
+    """A step running `nrsfm argv`, which must fail."""
+    return (name, ["nrsfm", *argv], False)
+
+
+SMALL = ["--width-first", "4", "--width-last", "2"]
+GENERATE_NONE = ["generate", "--out", "{out}/none.txt"]
+TRAIN_SMALL = ["train", "{out}/scene.txt", *RUN, *SMALL]
 
 
 # pipeline -> steps of (name, argv with {out} for the output directory,
-# whether the step must succeed)
+# True if the step must succeed, False if it must fail, None if it may fail)
 PIPELINES = {
     "demo05": [("demo", ["sh", "demos/05_cli_pipeline.sh", "{out}"], True)],
     "acceptance": [
@@ -92,11 +107,29 @@ PIPELINES = {
                       "--seed", "8", "--out", "{out}/scene.txt"], True),
         ("train", ["nrsfm", "train", "{out}/scene.txt", *RUN, *WIDTHS, "--activation", "soft",
                    "--translation", "--batch-size", "16", "--total-steps", "2000"], True),
-        ("reconstruct", RECONSTRUCT, False)],
+        ("reconstruct", RECONSTRUCT, None)],
     "normalize-modes": [
         ("generate", ["nrsfm", "generate", *SCENE, "--frames", "600", "--mode",
                       "weak_perspective", "--seed", "9", "--out", "{out}/scene.txt"], True),
         *normalize_run("center"), *normalize_run("none", "--translation")],
+    "refusals": [
+        ("generate", ["nrsfm", "generate", "--points", "6", "--frames", "10", *SMALL,
+                      "--seed", "1", "--out", "{out}/scene.txt"], True),
+        ("configs", ["sh", "-c", 'echo batch_size = 2.5 > "{out}/batch.cfg" && '
+                                 'echo normalize = boxes > "{out}/normalize.cfg"'], True),
+        refusal("generate-points-1", *GENERATE_NONE, "--points", "1"),
+        refusal("generate-frames-0", *GENERATE_NONE, "--frames", "0"),
+        refusal("generate-max-missing", *GENERATE_NONE, "--max-missing", "-1"),
+        refusal("generate-noise-inf", *GENERATE_NONE, "--noise", "inf"),
+        refusal("generate-seed", *GENERATE_NONE, "--seed", "-1"),
+        refusal("generate-sparsity", *GENERATE_NONE, "--sparsity", "9"),
+        refusal("train-total-steps-0", *TRAIN_SMALL, "--total-steps", "0"),
+        refusal("train-batch-size-0", *TRAIN_SMALL, "--batch-size", "0"),
+        refusal("train-base-lr-inf", *TRAIN_SMALL, "--base-lr", "inf"),
+        refusal("train-width-last-1", "train", "{out}/scene.txt", *RUN, "--width-first", "4",
+                "--width-last", "1"),
+        refusal("train-config-batch-size", *TRAIN_SMALL, "--config", "{out}/batch.cfg"),
+        refusal("train-config-normalize", *TRAIN_SMALL, "--config", "{out}/normalize.cfg")],
 }
 
 
@@ -108,11 +141,11 @@ def run_side(side, path, tmp):
     out, items = os.path.join(tmp, "out"), {}
     for pipeline, steps in PIPELINES.items():
         os.makedirs(out)
-        for step, argv, must_succeed in steps:
+        for step, argv, succeeds in steps:
             print(f"{side}: {pipeline} {step}", file=sys.stderr, flush=True)
             proc = subprocess.run([a.format(out=out) for a in argv], cwd=path, env=env,
                                   capture_output=True)
-            if must_succeed and proc.returncode:
+            if succeeds is not None and succeeds != (proc.returncode == 0):
                 sys.stderr.buffer.write(proc.stderr[-2000:])
                 print(f"error: {side}: {pipeline} {step} exited {proc.returncode}",
                       file=sys.stderr)
