@@ -11,6 +11,10 @@ RANK_EPS = 1e-10
 # was as accurate as LAPACK at every ratio from 1e-10 to 1, so the cutoff
 # only keeps frames near rank 1 on LAPACK's bits.
 POLAR_CUTOFF = 1e-4
+# polar_factor's H^-1 divides by max(sigma, POLAR_CLAMP), and so does the
+# model's polar VJP by max(sigma1 + sigma2, POLAR_CLAMP); the closed form
+# serves only sigma2 above it, where no clamp acts.
+POLAR_CLAMP = 1e-8
 # polar_factor_3x3's Newton iteration serves 3x3 matrices M whose condition
 # number ||M||_F ||M^-1||_F is at most this; LAPACK serves the rest.  Against
 # an 80-bit reference the iteration was as accurate as LAPACK at every
@@ -19,7 +23,6 @@ POLAR_CUTOFF = 1e-4
 # was within 1e-9 of the iteration's limit and the 6th within rounding (6e-16).
 NEWTON_CUTOFF = 1e4
 NEWTON_STEPS = 6
-_VT_ROWS = np.array([1, 1j])    # V^T's rows as complex numbers: e and i e
 _NEXT_ROW = np.array([1, 2, 0])  # row i + 1 (mod 3), for the cross product
 # cof(X)[i, j] = X[i+1, j+1] X[i+2, j+2] - X[i+1, j+2] X[i+2, j+1] (mod 3): the
 # entries of the four factors of each cofactor, row-major indices into X
@@ -34,7 +37,7 @@ NORMALIZE_MODES = ("bbox", "center", "none")  # see data.normalize_scene
 @dataclass
 class CameraWeak:
     """Weak-perspective camera: column-orthonormal 3x2 rotation part,
-    positive scale, 2D image translation."""
+    positive scale, 2D image translation, all finite."""
 
     rotation: np.ndarray
     scale: float = 1.0
@@ -47,8 +50,14 @@ class CameraWeak:
             raise ValueError(f"camera rotation part must be 3x2, got {self.rotation.shape}")
         if self.translation.shape != (2,):
             raise ValueError("camera translation must be a 2-vector")
-        if self.scale <= 0:
+        if not np.isfinite(self.rotation).all():
+            raise ValueError("camera rotation part must be finite")
+        if not self.scale > 0:
             raise ValueError("camera scale must be positive")
+        if not np.isfinite(self.scale):
+            raise ValueError("camera scale must be finite")
+        if not np.isfinite(self.translation).all():
+            raise ValueError("camera translation must be finite")
 
 
 def project(S, cam, mode="orthogonal"):
@@ -66,9 +75,10 @@ def project(S, cam, mode="orthogonal"):
 def project_frames(S, M, scale, t, mode="orthogonal"):
     """project over stacks: shapes (..., P, 3) by rotation parts (..., 3, 2),
     scales (...) and translations (..., 2), each frame's product one BLAS
-    call, as for a single frame; M must be column-orthonormal to 1e-6."""
+    call, as for a single frame; M must be column-orthonormal to 1e-6 (a
+    NaN in M is not)."""
     err = np.max(np.abs(np.swapaxes(M, -1, -2) @ M - np.eye(2)))
-    if err > 1e-6:
+    if not err <= 1e-6:
         raise ValueError(f"camera rotation part is not column-orthonormal (error {err:.3g})")
     scale, t = np.asarray(scale), np.asarray(t)
     if mode == "orthogonal":
@@ -132,13 +142,25 @@ def _centroid(W, mask, caller):
     bad = ~np.isfinite(visible).all(axis=(-2, -1))
     if np.any(bad):
         raise ValueError(f"{caller}: non-finite visible point{_frame_label(bad)}")
-    return visible.sum(axis=-2) / count[..., None]
+    with np.errstate(over="ignore"):
+        total = visible.sum(axis=-2)
+    _refuse_overflow(total, caller, "sum")
+    return total / count[..., None]
+
+
+def _refuse_overflow(values, caller, what):
+    """Refuse (..., 2) values computed from finite visible points that
+    overflowed, naming the first such frame."""
+    bad = ~np.isfinite(values).all(axis=-1)
+    if np.any(bad):
+        raise ValueError(f"{caller}: the visible points' {what} overflows{_frame_label(bad)}")
 
 
 def visible_centroid(W, mask):
     """Centroid of the visible points of (..., P, 2) frames with (..., P)
     masks: their sum divided by their count, which must not be 0.  A NaN
-    or an infinity at a visible point is refused, naming the frame."""
+    or an infinity at a visible point, or a sum that overflows, is
+    refused, naming the frame."""
     return _centroid(W, mask, "visible_centroid")
 
 
@@ -146,7 +168,8 @@ def normalize_bbox(W, mask=None):
     """Shift visible points to zero centroid and divide by the larger
     bounding-box side, so max(width, height) = 1.  Invisible entries are
     zeroed.  W is (..., P, 2) with (..., P) masks; a NaN or an infinity at a
-    visible point is refused, naming the frame.  Returns (normalized W,
+    visible point, or a sum or bounding box of the visible points that
+    overflows, is refused, naming the frame.  Returns (normalized W,
     (centroid (..., 2), scale (...)))."""
     W = np.asarray(W, dtype=float)
     mask = (np.ones(W.shape[:-1], dtype=bool) if mask is None
@@ -156,7 +179,9 @@ def normalize_bbox(W, mask=None):
         raise ValueError(f"normalize_bbox: need at least 2 visible points{_frame_label(few)}")
     centroid = _centroid(W, mask, "normalize_bbox")
     vis = mask[..., None]
-    extent = np.where(vis, W, -np.inf).max(axis=-2) - np.where(vis, W, np.inf).min(axis=-2)
+    with np.errstate(over="ignore"):
+        extent = np.where(vis, W, -np.inf).max(axis=-2) - np.where(vis, W, np.inf).min(axis=-2)
+    _refuse_overflow(extent, "normalize_bbox", "bounding box")
     scale = extent.max(axis=-1)
     if np.any(scale <= 0):
         raise ValueError("normalize_bbox: degenerate frame, visible points coincide"
@@ -166,26 +191,27 @@ def normalize_bbox(W, mask=None):
 
 
 def _svd_polar(M):
-    """Polar factor through LAPACK's thin SVD, one call per matrix."""
+    """(polar factor, singular values, V^T) through LAPACK's thin SVD, one
+    call per matrix."""
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    return U @ Vt, U, s, Vt, s[..., -1] > RANK_EPS
+    return U @ Vt, s, Vt
 
 
 def polar_factor(M):
-    """Polar factor Q = U V^T of 3x2 matrices (any leading batch shape) from
-    their thin SVD, in closed form.  Returns (Q, U, s, Vt, full_rank),
-    full_rank being the smallest singular value > RANK_EPS per matrix.
+    """Polar factor Q = M H^-1 of 3x2 matrices (any leading batch shape),
+    H = (M^T M)^(1/2), in closed form.  Returns (Q, s, Hinv, full_rank): the
+    singular values s, H^-1 = V diag(1 / max(s, POLAR_CLAMP)) V^T, and
+    full_rank, the smallest singular value > RANK_EPS per matrix.
 
     With row i of M read as the complex number w_i = x_i + i y_i, A = M^T M
     has z = sum w_i^2 = (a - c) + 2ib and trace sum |w_i|^2, so sigma1^2 =
-    (trace + |z|) / 2; sigma1 sigma2 is the norm of the cross product of M's
-    columns, and V's rotation angle is half the argument of z, so
-    e = exp(i arg(z) / 2) holds V's first column.  Then U = M V diag(1/s) is
-    w * conj(e) with its real and imaginary parts divided by sigma1 and
-    sigma2, and Q = U V^T is that times e.  A matrix whose sigma2 is not
-    above POLAR_CUTOFF * sigma1 and 2 * RANK_EPS (zero, rank-deficient,
-    non-finite or ill-conditioned) goes to LAPACK instead,
-    with LAPACK's bits and errors."""
+    (trace + |z|) / 2; delta = sigma1 sigma2 = sqrt(det A) is the norm of the
+    cross product of M's columns.  With rho = sigma1 + sigma2 = (trace +
+    2 delta)^(1/2), H = (A + delta I) / rho, so H^-1 = adj(A + delta I) /
+    (delta rho), which acts on a row w as (rho^2 w - z conj(w)) / (2 delta
+    rho).  A matrix whose sigma2 is not above POLAR_CUTOFF * sigma1 and
+    POLAR_CLAMP (zero, rank-deficient, non-finite, ill-conditioned or tiny)
+    goes to LAPACK instead, with LAPACK's bits and errors."""
     M = np.asarray(M, dtype=float)
     if M.shape[-2:] != (3, 2):
         raise ValueError(f"polar_factor: expected 3x2 matrices, got {M.shape[-2:]}")
@@ -202,20 +228,28 @@ def polar_factor(M):
         s = np.empty((B, 2))
         s1, s2 = s.T
         np.sqrt(0.5 * (trace + np.abs(z)), out=s1)
-        np.divide(np.sqrt(np.vecdot(cross, cross)), s1, out=s2)
-        closed = s2 > np.maximum(POLAR_CUTOFF * s1, 2 * RANK_EPS)
-        e = np.exp(0.5j * np.arctan2(z.imag, z.real))
-        Vt = (e[:, None] * _VT_ROWS).view(float).reshape(B, 2, 2)
-        u = np.multiply(w, e.conj()[:, None], order="C")   # C order for the float view
-        U = u.view(float).reshape(B, 3, 2)
-        U /= s[:, None, :]
-        Q = (u * e[:, None]).view(float).reshape(B, 3, 2)
+        delta = np.sqrt(np.vecdot(cross, cross))
+        np.divide(delta, s1, out=s2)
+        closed = s2 > np.maximum(POLAR_CUTOFF * s1, POLAR_CLAMP)
+        rho2 = trace + 2 * delta
+        scale = 0.5 / (delta * np.sqrt(rho2))
+        p, r = rho2 * scale, z * scale  # H^-1 = p I - [[Re r, Im r], [Im r, -Re r]]
+        q = np.multiply(p[:, None], w, order="C")   # C order for the float view
+        q -= r[:, None] * wc
+        Q = q.view(float).reshape(B, 3, 2)
+        Hinv = np.empty((B, 2, 2))
+        h = Hinv.reshape(B, 4).T
+        np.subtract(p, r.real, out=h[0])
+        np.negative(r.imag, out=h[1])
+        h[2] = h[1]
+        np.add(p, r.real, out=h[3])
     if not closed.all():
         rest = ~closed
-        Q[rest], U[rest], s[rest], Vt[rest], _ = _svd_polar(frames[rest])
+        Q[rest], s[rest], Vt = _svd_polar(frames[rest])
+        Hinv[rest] = (np.swapaxes(Vt, 1, 2) / np.maximum(s[rest], POLAR_CLAMP)[:, None, :]) @ Vt
     lead = M.shape[:-2]
-    return (Q.reshape(M.shape), U.reshape(M.shape), s.reshape(lead + (2,)),
-            Vt.reshape(lead + (2, 2)), s[:, 1].reshape(lead) > RANK_EPS)
+    return (Q.reshape(M.shape), s.reshape(lead + (2,)), Hinv.reshape(lead + (2, 2)),
+            s[:, 1].reshape(lead) > RANK_EPS)
 
 
 def orthonormalize_camera(Mraw):
@@ -224,7 +258,7 @@ def orthonormalize_camera(Mraw):
     Mraw = np.asarray(Mraw, dtype=float)
     if Mraw.shape != (3, 2):
         raise ValueError(f"orthonormalize_camera: expected 3x2, got {Mraw.shape}")
-    Q, _, s, _, full_rank = polar_factor(Mraw)
+    Q, s, _, full_rank = polar_factor(Mraw)
     if not full_rank:
         raise ValueError(f"orthonormalize_camera: rank-deficient input (sigma2 = {s[-1]:.3g})")
     return Q, s
@@ -376,14 +410,23 @@ def normalized_3d_error(estimates, truths, allow_scale=False, frames=None):
 
 def mutual_coherence(D):
     """Max over atom pairs of |d_i^T d_j| / (||d_i|| ||d_j||).  An atom
-    (column) with a NaN or an infinity is refused, naming it."""
+    (column) with a NaN or an infinity is refused, naming it.  A nonzero
+    atom whose squared norm underflows to 0 or overflows is divided by its
+    largest |entry| first; every other atom is used as it is."""
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.shape[1] < 2:
         raise ValueError("mutual_coherence: need a matrix with at least 2 atoms")
     bad = ~np.isfinite(D).all(axis=0)
     if np.any(bad):
         raise ValueError(f"mutual_coherence: non-finite atom {np.argmax(bad)}")
-    norms = np.linalg.norm(D, axis=0)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(D, axis=0)
+    peak = np.abs(D).max(axis=0)
+    rescale = ((norms == 0) | np.isinf(norms)) & (peak > 0)
+    if np.any(rescale):
+        D = D.copy()
+        D[:, rescale] /= peak[rescale]
+        norms[rescale] = np.linalg.norm(D[:, rescale], axis=0)
     if np.any(norms == 0):
         raise ValueError("mutual_coherence: zero-norm atom")
     G = np.abs((D / norms).T @ (D / norms))

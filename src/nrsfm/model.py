@@ -22,12 +22,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .geometry import CameraWeak, _frame_label, polar_factor
+from .geometry import POLAR_CLAMP, CameraWeak, _frame_label, polar_factor
 from .sparse import ACTIVATIONS, threshold
 
 LOSS_SMOOTHING = 1e-12
 HOMOGENEOUS_EPS = 1e-6
-POLAR_CLAMP = 1e-8
 # ModelParams' parameter groups, in param_items order
 GROUP_NAMES = ("dictionaries", "encoder thresholds", "decoder thresholds", "beta and gamma")
 
@@ -294,42 +293,45 @@ def forward_batch(W, vis, params):
     W, vis, Xt = _masked_frames(W, vis, params)
     blocks = _encoder(Xt, params)
     psiN, Mraw = _bottleneck(blocks[-1], params)
-    Q, U, s, Vt, valid = polar_factor(Mraw[:, :3, :])
+    Q, s, Hinv, valid = polar_factor(Mraw[:, :3, :])
     rows = atom_rows(params)
     S, phi, dec_records = _decoder(psiN, params, rows)
 
+    What = S @ Q
     eps, t_hat = None, np.zeros((len(W), 2))
     if params.block_rows == 4:
         eps = phi.sum(axis=1)
         valid = valid & (np.abs(eps) > HOMOGENEOUS_EPS)
         t_hat = eps[:, None] * Mraw[:, 3, :]
-
-    What = S @ Q
-    What += t_hat[:, None, :]
+        What += t_hat[:, None, :]
     resid = np.subtract(W, What, out=np.zeros(W.shape), where=vis[:, :, None])
     losses = np.sqrt(np.sum(resid * resid, axis=(1, 2)) + LOSS_SMOOTHING)
 
     cache = {
-        "Xt": Xt, "blocks": blocks, "psiN": psiN, "Mraw": Mraw, "U": U, "s": s, "Vt": Vt,
-        "Q": Q, "atom_rows": rows, "dec_records": dec_records, "phi1": phi, "S": S,
+        "Xt": Xt, "blocks": blocks, "psiN": psiN, "Mraw": Mraw, "Q": Q, "s": s,
+        "Hinv": Hinv, "atom_rows": rows, "dec_records": dec_records, "phi1": phi, "S": S,
         "eps": eps, "t_hat": t_hat, "What": What, "resid": resid, "losses": losses,
         "valid": valid,
     }
     return losses, valid, cache
 
 
-def polar_vjp(U, s, Vt, gQ):
-    """Gradient with respect to 3x2 matrices of their polar factor Q = U V^T,
-    given their thin SVD and the gradient gQ with respect to Q, in closed
-    form (Ionescu et al., ICCV 2015) with denominators clamped below:
-        U [(G - G^T) / (s_i + s_j)] V^T + (I - U U^T) gQ V diag(1/s) V^T,
-    where G = U^T gQ V."""
-    V = np.swapaxes(Vt, -1, -2)
-    Ut = np.swapaxes(U, -1, -2)
-    G = Ut @ gQ @ V
-    core = (G - np.swapaxes(G, -1, -2)) / np.maximum(s[:, :, None] + s[:, None, :], POLAR_CLAMP)
-    sinv = 1.0 / np.maximum(s, POLAR_CLAMP)
-    return (U @ core + (gQ - U @ (Ut @ gQ)) @ (V * sinv[:, None, :])) @ Vt
+def polar_vjp(Q, s, Hinv, gQ):
+    """Gradient with respect to 3x2 matrices M of their polar factor
+    Q = M H^-1, given Q, the singular values s, H^-1 = (M^T M)^(-1/2) as
+    polar_factor returns them and the gradient gQ with respect to Q:
+        (gQ - Q A) H^-1 + k Q J,  A = Q^T gQ,  J = [[0, 1], [-1, 0]],
+    k = (A_01 - A_10) / max(s_1 + s_2, POLAR_CLAMP).  This is the SVD form
+    of Ionescu et al. (ICCV 2015), U [(G - G^T) / (s_i + s_j)] V^T +
+    (I - U U^T) gQ V diag(1/s) V^T with G = U^T gQ V, written without U and
+    V: U = Q V, and V (G - G^T) V^T = A - A^T = (A_01 - A_10) J."""
+    A = np.swapaxes(Q, -1, -2) @ gQ
+    k = (A[:, 0, 1] - A[:, 1, 0]) / np.maximum(s[:, 0] + s[:, 1], POLAR_CLAMP)
+    g = (gQ - Q @ A) @ Hinv
+    kQ = k[:, None, None] * Q
+    g[..., 0] -= kQ[..., 1]     # Q J's columns are (-Q_1, Q_0)
+    g[..., 1] += kQ[..., 0]
+    return g
 
 
 def backward_batch(cache, params, out=None):
@@ -344,7 +346,7 @@ def backward_batch(cache, params, out=None):
     gS = (gWhat @ np.swapaxes(Q, 1, 2)).reshape(len(S), -1)
     gQ = np.swapaxes(S, 1, 2) @ gWhat
     gMraw = np.empty(Mraw.shape)     # its rows are all written below
-    gMraw[:, :3, :] = polar_vjp(cache["U"], cache["s"], cache["Vt"], gQ)
+    gMraw[:, :3, :] = polar_vjp(Q, cache["s"], cache["Hinv"], gQ)
 
     grads = params.copy() if out is None else out
     grads.flat.fill(0.0)

@@ -191,8 +191,11 @@ def test_train_config_history_is_pinned(tmp_path, monkeypatch):
     """A run from a config file and one overriding flag writes the scene and
     the merged settings as sorted '# key=value' lines before the header row;
     the whole history keeps its bytes (re-pinned when the cameras' polar
-    factor became closed-form, and when the 3D error's 3x3 polar factor
-    became a Newton iteration: one error3d moved, by 1.2e-16 relative)."""
+    factor became closed-form, when the 3D error's 3x3 polar factor became
+    a Newton iteration: one error3d moved, by 1.2e-16 relative, and when
+    the cameras' polar factor became M (M^T M)^(-1/2) with its gradient
+    through that inverse square root: 1 of 22 numbers moved, by 1.2e-16
+    relative)."""
     monkeypatch.chdir(tmp_path)
     _make_scene(tmp_path)
     with open("cfg.txt", "w") as fh:
@@ -206,7 +209,7 @@ def test_train_config_history_is_pinned(tmp_path, monkeypatch):
         "# seed=2", "# total_steps=40", "# width_first=6", "# width_last=3",
         ",".join(f.name for f in fields(HistoryRecord))]
     assert hashlib.sha256(data).hexdigest() == (
-        "ff2ae772906534ecb62ad4b5bb26a6f4202205a2365a59a3a3a988b77b172071")
+        "a4eae76a0163fe79a1c2e809420b4de32ef7a2f5257612359e0f031e0cba2d33")
 
 
 def test_train_zero_decay_steps_fails_cleanly(tmp_path, capsys):
@@ -592,13 +595,13 @@ def test_bad_checkpoint_manifest_fails_cleanly(tmp_path, capsys):
 
 @pytest.mark.parametrize("generate, digests", [
     pytest.param(["--seed", "5"], {
-        "rec.txt": "8be3008c8ed1c030033376dddc69707e3b1ed5e3a590cc6060f9ac2a3d8196a0",
-        "cum.csv": "6694f09bd3ad93cc35c78d7fdb569f5a2d90604304a2f04d75891d0623c2d152",
+        "rec.txt": "03d12945618064342d3055aa80499f5d5c16b5ff755c664a9f8ac947da27b8af",
+        "cum.csv": "4621ea639c7d979f29afeb084a65e7acc24cae4514871228caf775d6dbeaf8c5",
         "stdout": "4fdac801372a30bc4e211c340bf1676665d335888cde1bb8aee9993cf210819b"},
         id="orthogonal"),
     pytest.param(["--mode", "weak_perspective", "--max-missing", "2", "--seed", "6"], {
-        "rec.txt": "c38204af6bc72fdf74a02507913ead164cb2fe9f081f347bf06eecd6e4783c2d",
-        "cum.csv": "37722ce7ce17ef88f43988fb0b075fff7f96456ec44b236998fc8b8fcb6a12ae",
+        "rec.txt": "e9476c643a36f4947b0d77963fc5cd7f4459565c67aa4534adc6f1161ec4c477",
+        "cum.csv": "885d53eeaf8ad7a19a2266998e997730def083169c6707094e5219ff5519ee9b",
         "stdout": "086f61ba5c06444ba586a4079aa47d86cb0f5df20dc96b03af39fea3813126c5"},
         id="weak-perspective-missing"),
 ])
@@ -608,9 +611,13 @@ def test_reconstruct_and_evaluate_bytes_are_pinned(tmp_path, capsys, monkeypatch
     they wrote when every command still parsed every section of its scenes:
     rec.txt, the cumulative CSV and the two commands' stdout, which names
     only relative paths (re-pinned when the cameras' polar factor became
-    closed-form, and the cumulative CSVs when the 3D error's 3x3 polar
-    factor became a Newton iteration: 2 and 6 of 34 numbers moved, by at
-    most 1.5e-16 and 2.8e-16 relative)."""
+    closed-form; the cumulative CSVs when the 3D error's 3x3 polar factor
+    became a Newton iteration: 2 and 6 of 34 numbers moved, by at most
+    1.5e-16 and 2.8e-16 relative; and rec.txt and the CSVs when the
+    cameras' polar factor became M (M^T M)^(-1/2) with its gradient through
+    that inverse square root: in rec.txt 392 and 441 of 1,451 numbers
+    moved, by at most 1.4e-13 and 2.2e-13 relative, in the CSVs 4 and 7 of
+    34, by at most 3.6e-16 and 2.8e-16)."""
     monkeypatch.chdir(tmp_path)
     assert _run(["generate", "--points", "8", "--frames", "16", "--width-first", "6",
                  "--width-last", "3", "--sparsity", "1", "--out", "scene.txt"] + generate) == 0
@@ -632,9 +639,13 @@ def test_pipeline_bytes_across_a_block_boundary_are_pinned(tmp_path, capsys, mon
     344-frame block: the history, rec.txt, the cumulative CSV and the
     reconstruct and evaluate stdout keep the bytes they had when each pass
     ran all frames in one forward call (re-pinned when the cameras' polar
-    factor became closed-form, and the cumulative CSV when the 3D error's
-    3x3 polar factor became a Newton iteration: 141 of 1,202 numbers moved,
-    by at most 2.8e-16 relative)."""
+    factor became closed-form; the cumulative CSV when the 3D error's 3x3
+    polar factor became a Newton iteration: 141 of 1,202 numbers moved, by
+    at most 2.8e-16 relative; and all but the stdout when the cameras'
+    polar factor became M (M^T M)^(-1/2) with its gradient through that
+    inverse square root: in the history 1 of 22 numbers moved, by 2.5e-16
+    relative, in rec.txt 15,667 of 54,011, by at most 1.5e-11, in the CSV
+    186 of 1,202, by at most 1.7e-15)."""
     monkeypatch.chdir(tmp_path)
     assert _run(["generate", "--points", "8", "--frames", "600", "--width-first", "6",
                  "--width-last", "3", "--sparsity", "1", "--mode", "weak_perspective",
@@ -650,9 +661,9 @@ def test_pipeline_bytes_across_a_block_boundary_are_pinned(tmp_path, capsys, mon
     outputs = {name: open(name, "rb").read() for name in ("h.csv", "rec.txt", "cum.csv")}
     outputs["stdout"] = capsys.readouterr().out.encode()
     assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == {
-        "h.csv": "039ecacad95498f8598e9f7e5f586eb6ad1f8c6f08c74a7d0a22c7b7d55eefc3",
-        "rec.txt": "09d52b4ad3c3724179505b3d89d49f92fb21e8a43441617f7bdc7f9319b2075d",
-        "cum.csv": "1cf27a460c24527160c814f8ba05a8fe12a439f5bad70952381246ee66d7f347",
+        "h.csv": "cbbf2df958c16148b29327180b28e7b928721f24cb3c73b34f5a1798af4c6c7d",
+        "rec.txt": "e19d84be3f3a06aa89f2e30534f1d9834637b1cfca8f022e406e3f293b73aedf",
+        "cum.csv": "2fbd89bf0b84a19893e42226b714968b6c07c25701841445c5cfabe5d98b0dc3",
         "stdout": "302cf3fbc665ceb1f4df397561dadd00f98576104a87134329337e445d6b592a"}
 
 
@@ -661,7 +672,9 @@ def test_reconstruct_denormalizes_through_the_scene_file(tmp_path, capsys, monke
     checkpoint trained with --normalize none, is mapped back through the
     file's records: the output keeps the bytes it had when `reconstruct`
     parsed every section (re-pinned when the cameras' polar factor became
-    closed-form)."""
+    closed-form, and when it became M (M^T M)^(-1/2) with its gradient
+    through that inverse square root: 396 of 1,451 numbers moved, by at
+    most 1.9e-14 relative)."""
     monkeypatch.chdir(tmp_path)
     assert _run(["generate", "--points", "8", "--frames", "16", "--width-first", "6",
                  "--width-last", "3", "--sparsity", "1", "--mode", "weak_perspective",
@@ -673,7 +686,7 @@ def test_reconstruct_denormalizes_through_the_scene_file(tmp_path, capsys, monke
                  "--normalize", "none", "--seed", "2", "--quiet"]) == 0
     assert _run(["reconstruct", "scene.txt", "model.ckpt", "--out", "rec.txt"]) == 0
     assert hashlib.sha256(open("rec.txt", "rb").read()).hexdigest() == (
-        "7c81635c971944428c72815fc565ba00e7c367d49e231c2172986ba76d68197e")
+        "259e4a60ac021733de320b795375ec1391bb0eed95d753230f6d9cf9cd7aa4ca")
 
 
 def _edit_record(src, dst, section, row, field, value):

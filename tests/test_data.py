@@ -863,7 +863,13 @@ def test_training_bytes_are_pinned(tmp_path):
     and moments moved into flat vectors (soft/translation) and before the
     backward pass read its threshold masks from the stored layer outputs
     (relu/orthogonal); re-pinned when the cameras' polar factor became
-    closed-form."""
+    closed-form, and when it became M (M^T M)^(-1/2) with its gradient
+    through that inverse square root.  Then the soft checkpoints' bodies
+    moved in 312 and 325 of 444 numbers, by at most 1.7e-14 relative; the
+    relu ones in 388 and 495 of 582, the parameters by at most 1.2e-8
+    relative (gamma), and the Adam moments of gamma, whose gradient there
+    is rounding noise (below 4e-15) that Adam scales to full steps, by up
+    to 1.1 relative."""
     cases = {
         "soft": (PlantedSpec(points=6, frames=12, layers=3, width_first=5, width_last=2,
                              sparsity=1, camera_mode="weak_perspective", noise_ratio=0.05,
@@ -890,10 +896,10 @@ def test_training_bytes_are_pinned(tmp_path):
             name = f"{case}-{stage}.ckpt"
             digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digests == {
-        "soft-half.ckpt": "21fc7d4b6c9246901c0580796800c3cd13beb27c005d809ee6aaf630e3d72f8d",
-        "soft-resumed.ckpt": "d0dce2932c793efb55ebda49ec8a84136a7412942b0d1b74cc634a649230b883",
-        "relu-half.ckpt": "580747095016b0f17789bd59f126fb5b4f5ad249cc480a41bca4cc0f8a3129a2",
-        "relu-resumed.ckpt": "61dc8c11814f0c542c50aebc7869a0ba652ba8b6b7113d56622fdd31ec98fc19",
+        "soft-half.ckpt": "b2e91d19c74f35a92a325190915de519812eaca04c231007eaacf3c664f5de1f",
+        "soft-resumed.ckpt": "f2ccb0d75c626b64ca271a8e81d58b3b0ec7361deece368b4ffc69a128daad7a",
+        "relu-half.ckpt": "1c9484fd72663756ddc23bca7c1727e4907225ff823680586e3c7aed0006b702",
+        "relu-resumed.ckpt": "598b1c7b665da0a7fb6633456467d724446bc8a90377c8c3dc7052c3c2cc2db9",
     }
 
 

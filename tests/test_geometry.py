@@ -4,11 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from nrsfm.geometry import (ERROR_BLOCK, NEWTON_CUTOFF, POLAR_CUTOFF, RANK_EPS, CameraWeak,
-                            align_shapes, frame_3d_errors, mutual_coherence, noise_perturb,
+from nrsfm.geometry import (ERROR_BLOCK, NEWTON_CUTOFF, POLAR_CLAMP, POLAR_CUTOFF, RANK_EPS,
+                            CameraWeak, align_shapes, frame_3d_errors, mutual_coherence, noise_perturb,
                             normalize_bbox, normalized_3d_error, orthonormalize_camera,
                             polar_factor, polar_factor_3x3, procrustes_rotation, project,
-                            random_camera, random_rotation, visible_centroid)
+                            project_frames, random_camera, random_rotation, visible_centroid)
 
 
 def test_project_orthogonal_basic():
@@ -43,6 +43,13 @@ def test_project_rejects_non_orthonormal():
     (lambda: CameraWeak(np.eye(3, 2), translation=[0.0, 0.0, 0.0]),
      "camera translation must be a 2-vector"),
     (lambda: CameraWeak(np.eye(3, 2), scale=0.0), "camera scale must be positive"),
+    (lambda: CameraWeak(np.full((3, 2), np.nan)), "camera rotation part must be finite"),
+    (lambda: CameraWeak(np.eye(3, 2), scale=np.nan), "camera scale must be positive"),
+    (lambda: CameraWeak(np.eye(3, 2), scale=np.inf), "camera scale must be finite"),
+    (lambda: CameraWeak(np.eye(3, 2), translation=[0.0, -np.inf]),
+     "camera translation must be finite"),
+    (lambda: project_frames(np.zeros((4, 3)), np.full((3, 2), np.nan), 1.0, np.zeros(2)),
+     "camera rotation part is not column-orthonormal (error nan)"),
     (lambda: project(np.zeros((4, 2)), CameraWeak(np.eye(3, 2))),
      "project: shape must be (P, 3), got (4, 2)"),
     (lambda: project(np.zeros((4, 3)), CameraWeak(np.eye(3, 2), scale=2.0)),
@@ -52,7 +59,8 @@ def test_project_rejects_non_orthonormal():
     (lambda: random_camera(1, mode="perspective"), "random_camera: unknown mode 'perspective'"),
     (lambda: align_shapes(np.zeros((4, 3)), np.zeros((5, 3))),
      "align_shapes: shapes must have matching size"),
-], ids=["rotation", "translation", "scale", "project-shape", "orthogonal-scale",
+], ids=["rotation", "translation", "scale", "nan-rotation", "nan-scale", "inf-scale",
+         "inf-translation", "nan-projection", "project-shape", "orthogonal-scale",
         "project-mode", "camera-mode", "align-size"])
 def test_bad_camera_or_shape_is_named(call, message):
     with pytest.raises(ValueError) as info:
@@ -159,7 +167,8 @@ def test_normalize_bbox_degenerate():
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_normalizers_refuse_a_non_finite_visible_point(value):
     """A NaN or an infinity at a visible point is refused by name, naming
-    its frame, without a numpy warning; at a hidden point it is ignored."""
+    its frame, without a numpy warning; at a hidden point it is ignored.
+    So are finite visible points whose sum or bounding box overflows."""
     W = np.random.default_rng(20).standard_normal((3, 5, 2))
     W[1, 0, 0] = value
     mask = np.ones((3, 5), dtype=bool)
@@ -174,6 +183,16 @@ def test_normalizers_refuse_a_non_finite_visible_point(value):
         Wn, (centroid, scale) = normalize_bbox(W, mask)
         assert np.isfinite(Wn).all() and np.isfinite(scale).all()
         assert np.array_equal(visible_centroid(W, mask), centroid)
+        W[1, 1:3] = [[1e308, 0.5], [-1e308, 0.5]]           # the x extent overflows
+        with pytest.raises(ValueError) as info:
+            normalize_bbox(W, mask)
+        assert str(info.value) == "normalize_bbox: the visible points' bounding box overflows at frame 1"
+        W[2, :3] = 1e308                                    # the sums overflow
+        for name, call in (("normalize_bbox", normalize_bbox),
+                           ("visible_centroid", visible_centroid)):
+            with pytest.raises(ValueError) as info:
+                call(W[2], mask[2])
+            assert str(info.value) == f"{name}: the visible points' sum overflows"
 
 
 def test_orthonormalize_idempotent_and_scale_stripping():
@@ -206,9 +225,11 @@ def test_orthonormalize_nearest_point():
 
 
 def _lapack_polar(M):
-    """The oracle: (Q, U, s, Vt, full_rank) from LAPACK's thin SVD."""
+    """The oracle: (Q, s, Hinv, full_rank) from LAPACK's thin SVD, with
+    Hinv = V diag(1 / max(s, POLAR_CLAMP)) V^T."""
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    return U @ Vt, U, s, Vt, s[..., -1] > RANK_EPS
+    Hinv = (np.swapaxes(Vt, -1, -2) / np.maximum(s, POLAR_CLAMP)[..., None, :]) @ Vt
+    return U @ Vt, s, Hinv, s[..., -1] > RANK_EPS
 
 
 def _from_sigmas(rng, sigmas):
@@ -233,23 +254,21 @@ def _sweep(rng, per_ratio=200):
 def test_polar_factor_closed_form_agrees_with_lapack():
     """Q agrees with LAPACK's U @ Vt to 1e-13, or to 1e-14 sigma1 / sigma2
     where that is larger (sigma2 / sigma1 < 0.1: the size of LAPACK's own
-    error there), and s to 1e-13 sigma1; full_rank is LAPACK's everywhere,
-    and frames below POLAR_CUTOFF are LAPACK's bits.  The factors are an
-    SVD of M: U orthonormal to the same tolerance as Q, V to 1e-14."""
+    error there), s to 1e-13 sigma1, and H^-1 with LAPACK's V diag(1/s) V^T
+    to the same relative tolerance as Q over its norm 1 / sigma2; Q is
+    orthonormal to that tolerance, full_rank is LAPACK's everywhere, and
+    frames below POLAR_CUTOFF are LAPACK's bits."""
     M, ratios = _sweep(np.random.default_rng(0))
-    Q, U, s, Vt, full_rank = polar_factor(M)
+    Q, s, Hinv, full_rank = polar_factor(M)
     ref = _lapack_polar(M)
     tol = np.maximum(1e-13, 1e-14 / ratios)
     assert np.all(np.abs(Q - ref[0]).max(axis=(1, 2)) <= tol)
-    assert np.all(np.abs(s - ref[2]) <= 1e-13 * ref[2][:, :1])
-    assert np.array_equal(full_rank, ref[4])
-    eye = np.eye(2)
-    assert np.all(np.abs(np.swapaxes(U, 1, 2) @ U - eye).max(axis=(1, 2)) <= tol)
-    assert np.abs(Vt @ np.swapaxes(Vt, 1, 2) - eye).max() <= 1e-14
-    assert np.all(np.abs((U * s[:, None, :]) @ Vt - M) <= 1e-14 * s[:, :1, None])
-    assert np.abs(Q - U @ Vt).max() <= 1e-15
+    assert np.all(np.abs(s - ref[1]) <= 1e-13 * ref[1][:, :1])
+    assert np.all(np.abs(Hinv - ref[2]).max(axis=(1, 2)) <= tol / ref[1][:, 1])
+    assert np.array_equal(full_rank, ref[3])
+    assert np.all(np.abs(np.swapaxes(Q, 1, 2) @ Q - np.eye(2)).max(axis=(1, 2)) <= tol)
     below = ratios < POLAR_CUTOFF
-    for got, want in zip((Q, U, s, Vt), ref):
+    for got, want in zip((Q, s, Hinv), ref):
         assert np.array_equal(got[below], want[below])
 
 
@@ -277,7 +296,7 @@ def test_polar_factor_closed_form_is_as_accurate_as_lapack():
 
 def test_polar_factor_degenerate_frames_are_lapacks():
     """Zero, rank-1, rank-deficient and ill-conditioned frames, in a batch
-    of good ones, get LAPACK's (Q, U, s, Vt) bit for bit and its full_rank;
+    of good ones, get LAPACK's (Q, s, Hinv) bit for bit and its full_rank;
     a NaN frame raises LAPACK's error, and an infinite one gets LAPACK's
     result; none of it warns."""
     rng = np.random.default_rng(2)
@@ -295,8 +314,8 @@ def test_polar_factor_degenerate_frames_are_lapacks():
         for i in (1, 3, 5, 7, 9, 11):
             for g, w in zip(got, want):
                 assert np.array_equal(g[i], w[i]), i
-        assert np.array_equal(got[4], want[4])
-        assert not got[4][[1, 3, 5, 7]].any()
+        assert np.array_equal(got[3], want[3])
+        assert not got[3][[1, 3, 5, 7]].any()
         M[6, 0, 1] = np.nan
         with pytest.raises(np.linalg.LinAlgError) as ours:
             polar_factor(M)
@@ -338,7 +357,7 @@ def test_polar_factor_calls_lapack_for_the_frames_below_the_cutoff_only(monkeypa
 
 
 def test_polar_factor_batch_matches_single_frames():
-    """Each frame's (Q, U, s, Vt, full_rank) is the same bits in a batch, as
+    """Each frame's (Q, s, Hinv, full_rank) is the same bits in a batch, as
     a single (3, 2) matrix and through strided views: the model's 4-row
     bottleneck layout, and columns stored contiguously."""
     rng = np.random.default_rng(3)
@@ -683,6 +702,26 @@ def test_mutual_coherence_scale_invariant():
     D2 = D.copy()
     D2[:, 3] *= -7.5
     assert np.isclose(mutual_coherence(D), mutual_coherence(D2))
+
+
+@pytest.mark.parametrize("value", [1e200, 1e-200, 1e-310])
+def test_mutual_coherence_keeps_an_atom_whose_squared_norm_overflows_or_underflows(value):
+    """An atom whose squared norm is inf or 0 while an entry is not gives the
+    true coherence without a warning; every other atom keeps its bits."""
+    D = np.eye(4)
+    D[:2, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isclose(mutual_coherence(D), np.sqrt(0.5), rtol=1e-15)
+    # the flagged atom is divided by value, exactly ones; the others are as given
+    D = np.random.default_rng(18).standard_normal((6, 5))
+    ones = np.concatenate([D, np.ones((6, 1))], axis=1)
+    assert mutual_coherence(np.concatenate([D, value * np.ones((6, 1))], axis=1)) == (
+        mutual_coherence(ones))
+    unit = ones / np.linalg.norm(ones, axis=0)
+    G = np.abs(unit.T @ unit)
+    np.fill_diagonal(G, 0.0)
+    assert mutual_coherence(ones) == G.max()
 
 
 def test_mutual_coherence_rejects_zero_atom():

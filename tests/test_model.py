@@ -542,6 +542,13 @@ def _polar(A):
     return U @ Vt
 
 
+def _vjp_inputs(U, s, Vt):
+    """polar_vjp's (Q, s, Hinv) from a thin SVD: Q = U V^T and
+    Hinv = V diag(1 / max(s, POLAR_CLAMP)) V^T."""
+    Hinv = (np.swapaxes(Vt, -1, -2) / np.maximum(s, POLAR_CLAMP)[:, None, :]) @ Vt
+    return U @ Vt, s, Hinv
+
+
 def test_polar_jvp_matches_finite_differences():
     rng = np.random.default_rng(27)
     for _ in range(20):
@@ -562,7 +569,7 @@ def test_polar_vjp_is_adjoint_of_jvp():
         dA = rng.standard_normal((2, 3, 2))
         gQ = rng.standard_normal((2, 3, 2))
         lhs = np.sum(gQ * polar_jvp(U, s, Vt, dA))
-        rhs = np.sum(polar_vjp(U, s, Vt, gQ) * dA)
+        rhs = np.sum(polar_vjp(*_vjp_inputs(U, s, Vt), gQ) * dA)
         assert np.isclose(lhs, rhs, atol=1e-10)
 
 
@@ -592,7 +599,7 @@ def test_polar_vjp_matches_jacobian_oracle(case):
         s[::2, 0] = POLAR_CLAMP / 4
     gQ = rng.standard_normal((40, 3, 2))
     ref = _polar_vjp_by_jacobian(U, s, Vt, gQ)
-    got = polar_vjp(U, s, Vt, gQ)
+    got = polar_vjp(*_vjp_inputs(U, s, Vt), gQ)
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 

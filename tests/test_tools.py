@@ -55,7 +55,7 @@ def test_seed_sweep_scenes_are_the_acceptance_scenes(monkeypatch):
 
 
 def test_seed_sweep_passes_and_fails_as_the_criteria_do(monkeypatch):
-    """The sweep's pass or fail of criteria 5, 6 and 7 for a seed is the
+    """The sweep's pass or fail of criteria 5, 6, 7 and 8 for a seed is the
     criteria's own verdict on the same final errors, at and just past their
     bounds, so the sweep's restated bounds cannot drift from the tests'."""
     sweep = _load_tool("seed_sweep")
@@ -63,16 +63,22 @@ def test_seed_sweep_passes_and_fails_as_the_criteria_do(monkeypatch):
     past = lambda x: np.nextafter(x, np.inf)
     cases = [(0.05, 0.1, 0.1), (past(0.05), 0.1, 0.1), (0.04, past(0.08), 0.08),
              (0.04, 0.08, past(0.08)), (0.02, 0.01, 0.05), (0.3, 0.5, 0.7)]
-    assert len(cases) == len(sweep.SEEDS)
+    # criterion 8's (r=4, r=3) errors, at and past both ends of its gap bound
+    pairs = [(1.25, 1.0), (past(1.25), 1.0), (0.75, 1.0), (np.nextafter(0.75, 0), 1.0),
+             (0.3, 0.3), (0.5, 0.1)]
+    assert len(cases) == len(pairs) == len(sweep.SEEDS)
     runs = {name: [{"error3d": errors[k], "minority_hand": 0.0} for errors in cases]
             for k, name in enumerate(sweep.SCENES)}
-    per_seed, _ = sweep.criteria(runs)
-    for errors, verdict in zip(cases, per_seed):
+    runs[sweep.TRANSLATION] = [{"error3d_r4": r4, "error3d_r3": r3} for r4, r3 in pairs]
+    per_seed, summary = sweep.criteria(runs)
+    assert summary["criterion_8_passes"] == 3
+    for errors, pair, verdict in zip(cases, pairs, per_seed):
         error = dict(zip(sweep.SCENES, errors))
         monkeypatch.setattr(acceptance, "_bench", lambda key, **kw: SimpleNamespace(
             history=SimpleNamespace(records=[SimpleNamespace(error3d=error[key])])))
+        monkeypatch.setattr(acceptance, "_translation_pair", lambda seed: pair)
         for k, test in ((5, "05_planted_end_to_end"), (6, "06_noise_robustness"),
-                        (7, "07_missing_data")):
+                        (7, "07_missing_data"), (8, "08_translation_model")):
             with contextlib.redirect_stdout(io.StringIO()):
                 try:
                     getattr(acceptance, f"test_criterion_{test}")()
