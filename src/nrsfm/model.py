@@ -229,14 +229,23 @@ def _encoder(Xt, params):
     return blocks
 
 
+def _code_rows(PsiN):
+    """(K, r, B, 2) block codes as the (K*B, 2r) matrix np.tensordot forms
+    against beta: row k*B + b is frame b's block k.  The copy moves each
+    (x, y) pair as one complex number, the same bytes in half the strided
+    moves."""
+    K, r, B, _ = PsiN.shape
+    pairs = np.ascontiguousarray(PsiN).view(complex)[..., 0]
+    return pairs.transpose(0, 2, 1).copy().view(float).reshape(K * B, 2 * r)
+
+
 def _bottleneck(PsiN, params):
     """Linear bottleneck over (K_N, r, B, 2) codes: psi_N^k = <beta, Psi_N^k>
     and camera_raw = sum_k gamma_k Psi_N^k.  Returns psiN (B, K_N) and
     camera_raw (B, r, 2)."""
     K, r, B, _ = PsiN.shape
     # psi_N as np.tensordot forms it: one reshape and one product
-    rows = PsiN.transpose(0, 2, 1, 3).reshape(K * B, 2 * r)
-    psiN = np.dot(rows, params.beta.reshape(-1, 1)).reshape(K, B).T
+    psiN = np.dot(_code_rows(PsiN), params.beta.reshape(-1, 1)).reshape(K, B).T
     Mraw = (params.gamma @ PsiN.reshape(K, -1)).reshape(r, B, 2).transpose(1, 0, 2)
     return psiN, Mraw
 
@@ -345,8 +354,9 @@ def backward_batch(cache, params, out=None):
     S, Q, Mraw = cache["S"], cache["Q"], cache["Mraw"]
     gS = (gWhat @ np.swapaxes(Q, 1, 2)).reshape(len(S), -1)
     gQ = np.swapaxes(S, 1, 2) @ gWhat
-    gMraw = np.empty(Mraw.shape)     # its rows are all written below
-    gMraw[:, :3, :] = polar_vjp(Q, cache["s"], cache["Hinv"], gQ)
+    # row-major (r, B, 2), as gamma's product and gPsi read it; every row is written below
+    gMraw_t = np.empty((params.block_rows, len(S), 2))
+    gMraw_t[:3] = polar_vjp(Q, cache["s"], cache["Hinv"], gQ).transpose(1, 0, 2)
 
     grads = params.copy() if out is None else out
     grads.flat.fill(0.0)
@@ -360,7 +370,7 @@ def backward_batch(cache, params, out=None):
     if params.block_rows == 4:
         gt = gWhat.sum(axis=1)
         gphi = gphi + np.sum(gt * Mraw[:, 3, :], axis=1)[:, None]
-        gMraw[:, 3, :] = cache["eps"][:, None] * gt
+        gMraw_t[3] = cache["eps"][:, None] * gt
 
     # decoder thresholded layers, the last one applied first
     for d, phi_in, phi_out in reversed(cache["dec_records"]):
@@ -372,9 +382,7 @@ def backward_batch(cache, params, out=None):
 
     # bottleneck, beta's product formed as np.tensordot forms it
     blocksN = cache["blocks"][-1]
-    gMraw_t = gMraw.transpose(1, 0, 2)
-    rows = blocksN.transpose(0, 2, 1, 3).reshape(-1, 2 * params.block_rows)
-    grads.beta += np.dot(gpsiN.T.reshape(1, -1), rows).reshape(params.beta.shape)
+    grads.beta += np.dot(gpsiN.T.reshape(1, -1), _code_rows(blocksN)).reshape(params.beta.shape)
     grads.gamma += blocksN.reshape(len(blocksN), -1) @ gMraw_t.ravel()
     # as two outer products: the bits of broadcasting both terms onto (K, r, B, 2), faster
     gPsi = np.multiply.outer(params.gamma, gMraw_t)
