@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from nrsfm.geometry import (ERROR_BLOCK, NEWTON_CUTOFF, POLAR_CLAMP, POLAR_CUTOFF, RANK_EPS,
-                            CameraWeak, align_shapes, frame_3d_errors, mutual_coherence, noise_perturb,
-                            normalize_bbox, normalized_3d_error, orthonormalize_camera,
-                            polar_factor, polar_factor_3x3, procrustes_rotation, project,
-                            project_frames, random_camera, random_rotation, visible_centroid)
+                            CameraWeak, align_shapes, frame_3d_errors, mutual_coherence,
+                            noise_perturb, normalize_bbox, normalized_3d_error,
+                            orthonormalize_camera, polar_factor, polar_factor_3x3,
+                            procrustes_rotation, project, project_frames, random_camera,
+                            random_rotation, visible_centroid)
 
 
 def test_project_orthogonal_basic():
@@ -186,7 +187,8 @@ def test_normalizers_refuse_a_non_finite_visible_point(value):
         W[1, 1:3] = [[1e308, 0.5], [-1e308, 0.5]]           # the x extent overflows
         with pytest.raises(ValueError) as info:
             normalize_bbox(W, mask)
-        assert str(info.value) == "normalize_bbox: the visible points' bounding box overflows at frame 1"
+        assert str(info.value) == ("normalize_bbox: the visible points' bounding box "
+                                   "overflows at frame 1")
         W[2, :3] = 1e308                                    # the sums overflow
         for name, call in (("normalize_bbox", normalize_bbox),
                            ("visible_centroid", visible_centroid)):

@@ -300,6 +300,27 @@ def test_recover_code_camera_double_loop():
     assert np.allclose(Mraw, acc)
 
 
+@pytest.mark.parametrize("block_rows", [3, 4])
+def test_bottleneck_keeps_the_tensordot_bits(block_rows):
+    """beta's two products, psi_N in the forward pass and beta's gradient in
+    the backward pass, read the codes as np.tensordot lays them out, and
+    keep its bits; so does a single frame's code that is not contiguous."""
+    rng = np.random.default_rng(44 + block_rows)
+    params = _random_params(rng, P=7, widths=(6, 4), block_rows=block_rows, thresholds=0.02)
+    params.beta[:] = rng.standard_normal(params.beta.shape)
+    W = rng.standard_normal((9, 7, 2)) + (2.0 if block_rows == 4 else 0.0)
+    _, _, cache = forward_batch(W, rng.random((9, 7)) > 0.25, params)
+    PsiN = cache["blocks"][-1]
+    want = np.tensordot(PsiN, params.beta, axes=([1, 3], [0, 1])).T
+    assert cache["psiN"].tobytes() == want.tobytes()
+    gpsiN = rng.standard_normal((9, 4))
+    got = np.dot(gpsiN.T.reshape(1, -1), nrsfm.model._code_rows(PsiN))
+    assert got.tobytes() == np.tensordot(gpsiN.T, PsiN, axes=([0, 1], [0, 2])).tobytes()
+    one = np.asfortranarray(PsiN[:, :, 4])
+    want = np.tensordot(np.ascontiguousarray(one), params.beta, axes=([1, 2], [0, 1]))
+    assert recover_code_camera(one, params)[0].tobytes() == want.tobytes()
+
+
 def test_recover_code_camera_shape_check():
     rng = np.random.default_rng(10)
     params = _random_params(rng)
